@@ -24,85 +24,10 @@ import numpy as np
 from .errors import BlowUp, DegenerateForm, DimensionError, StiffStep
 from .fields import HamiltonianSpec
 from .geometry import ClosedOneForm, PhasePoint, PhaseSpace, wrap, wrap_batch
-from .trig import SIN, TWO_PI, TrigPoly
+from .trig import TrigPoly
 
 FP_TOL = 1e-12
 FP_MAX_ITER = 50
-
-_HALF_PI = 0.5 * np.pi
-
-
-@dataclass
-class _CompiledScalar:
-    """f(X, t) = sum amps*sin(X@kmat + tvec*t + poff) + lin.X + const."""
-
-    kmat: np.ndarray
-    poff: np.ndarray
-    amps: np.ndarray
-    tvec: np.ndarray
-    lin: np.ndarray | None
-    const: float
-
-    def __call__(self, X, t=0.0):
-        X = np.asarray(X, dtype=float)
-        ph = X @ self.kmat + self.poff
-        if self.tvec is not None:
-            ph = ph + self.tvec * t
-        out = np.sin(ph) @ self.amps + self.const
-        if self.lin is not None:
-            out = out + X @ self.lin
-        return out
-
-
-@dataclass
-class _CompiledVector:
-    """v(X, t) = (amps*sin(X@kmat + tvec*t + poff)) @ W + const."""
-
-    kmat: np.ndarray
-    poff: np.ndarray
-    amps: np.ndarray
-    tvec: np.ndarray
-    W: np.ndarray
-    const: np.ndarray
-
-    def __call__(self, X, t=0.0):
-        X = np.asarray(X, dtype=float)
-        ph = X @ self.kmat + self.poff
-        if self.tvec is not None:
-            ph = ph + self.tvec * t
-        return (self.amps * np.sin(ph)) @ self.W + self.const
-
-
-def _compile_scalar(poly: TrigPoly, lin=None, const=0.0):
-    # c*cos(th) = c*sin(th + pi/2), c*sin(th) = c*sin(th)
-    poff = np.where(poly.is_sin == SIN, 0.0, _HALF_PI)
-    tvec = TWO_PI * poly.tfreq.astype(float) if poly.is_time_dependent else None
-    return _CompiledScalar(
-        kmat=TWO_PI * poly.kvecs.T.astype(float),
-        poff=poff,
-        amps=poly.coeffs.copy(),
-        tvec=tvec,
-        lin=None if lin is None else np.asarray(lin, dtype=float),
-        const=float(const),
-    )
-
-
-def _compile_gradient_map(poly: TrigPoly, matrix, const=None):
-    """Compile x -> matrix @ grad(poly)(x, t) + const into a _CompiledVector."""
-    # d/dx of c*cos(th) is -2 pi c k sin(th); of c*sin(th) is +2 pi c k cos(th)
-    # = 2 pi c k sin(th + pi/2). So: cos-kind -> amp*sin(th + pi), sin-kind ->
-    # amp*sin(th + pi/2), with amp = 2 pi c.
-    d = matrix.shape[0]
-    poff = np.where(poly.is_sin == SIN, _HALF_PI, np.pi)
-    tvec = TWO_PI * poly.tfreq.astype(float) if poly.is_time_dependent else None
-    return _CompiledVector(
-        kmat=TWO_PI * poly.kvecs.T.astype(float),
-        poff=poff,
-        amps=TWO_PI * poly.coeffs,
-        tvec=tvec,
-        W=poly.kvecs.astype(float) @ matrix.T,
-        const=np.zeros(d) if const is None else np.asarray(const, dtype=float),
-    )
 
 
 class VectorFieldSpec:
@@ -110,15 +35,16 @@ class VectorFieldSpec:
 
     ``kind`` is "hamiltonian" (beta = -dF), "locally-hamiltonian" (beta =
     alpha) or "suspended" (the autonomous Hamiltonian field of F(x, s) + r on
-    the extended space). Evaluation is a compiled closed form: no per-step
-    linear solves, no numerical differentiation.
+    the extended space). ``velocity`` is the exact linear image of a
+    gradient, x -> M grad F(x, t) + c, summed by the TrigPoly evaluator: no
+    per-step linear solves, no numerical differentiation.
     """
 
     def __init__(self, kind, space, velocity, conserved=None, source=None, autonomous=True):
         self.kind = kind
         self.space = space
         self.velocity = velocity
-        self.conserved = conserved  # compiled scalar logged along orbits
+        self.conserved = conserved  # scalar logged along orbits
         self.source = source
         self.autonomous = autonomous
 
@@ -143,8 +69,8 @@ def hamiltonian_field(F: HamiltonianSpec, space: PhaseSpace) -> VectorFieldSpec:
     """The Hamiltonian vector field of F: v = Omega^{-1} grad F."""
     if F.dim != space.dim:
         raise DimensionError(f"F has dim {F.dim}, space has {space.dim}")
-    vel = _compile_gradient_map(F.poly, space.omega.inverse)
-    conserved = _compile_scalar(F.poly) if F.autonomous else None
+    vel = F.poly.gradient_map(space.omega.inverse)
+    conserved = F.poly.eval if F.autonomous else None
     return VectorFieldSpec("hamiltonian", space, vel, conserved, source=F,
                            autonomous=F.autonomous)
 
@@ -153,14 +79,9 @@ def locally_hamiltonian_field(alpha: ClosedOneForm, space: PhaseSpace) -> Vector
     """The locally Hamiltonian field of a closed 1-form: v = -Omega^{-1} alpha."""
     if alpha.dim != space.dim:
         raise DimensionError(f"form has dim {alpha.dim}, space has {space.dim}")
-    const = -space.omega.inverse @ alpha.cclass.coeffs
-    if alpha.potential is None:
-        vel = _CompiledVector(
-            kmat=np.zeros((space.dim, 0)), poff=np.zeros(0), amps=np.zeros(0),
-            tvec=None, W=np.zeros((0, space.dim)), const=const,
-        )
-    else:
-        vel = _compile_gradient_map(alpha.potential, -space.omega.inverse, const=const)
+    potential = TrigPoly.zero(space.dim) if alpha.potential is None else alpha.potential
+    vel = potential.gradient_map(-space.omega.inverse,
+                                 const=-space.omega.inverse @ alpha.cclass.coeffs)
     return VectorFieldSpec("locally-hamiltonian", space, vel, source=alpha)
 
 
@@ -305,9 +226,7 @@ def integrate(field: VectorFieldSpec, x0, T, h, method="midpoint") -> Trajectory
 
 def reversed_field(field: VectorFieldSpec) -> VectorFieldSpec:
     """The field generating the time-reversed flow (for reversibility checks)."""
-    vel = field.velocity
-    neg = _CompiledVector(vel.kmat, vel.poff, -vel.amps, vel.tvec, vel.W, -vel.const)
-    return VectorFieldSpec(field.kind, field.space, neg, field.conserved,
+    return VectorFieldSpec(field.kind, field.space, -field.velocity, field.conserved,
                            field.source, field.autonomous)
 
 

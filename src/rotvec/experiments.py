@@ -23,8 +23,8 @@ from .errors import ConfigError
 from .fields import parse_family
 from .geometry import (CohomologyClass, momentum_level_torus, one_form, torus,
                        twisted_structure)
-from .measures import (empirical_measure, extremal_orbit_search, full_seed_grid,
-                       momentum_seed_grid, rotation_vector)
+from .measures import (doubling_horizons, empirical_measure, extremal_orbit_search,
+                       full_seed_grid, momentum_seed_grid, rotation_vector)
 from .pbracket import PbProblem, PinnedProfileFamily, chord_search, pb_upper_bound
 from .suspension import (SuspendedHamiltonian, extended_point, map_orbit_search,
                          rotation_pairing_time_one, shift_equivariance_check,
@@ -155,11 +155,29 @@ def validate_config(config):
     family = merged.get("family")
     if family is not None and family.get("family") not in ("fourier", "pinned-profile"):
         raise ConfigError("/family/family", "must be fourier or pinned-profile")
+    form = merged.get("form")
+    if form is not None and space and len(form.get("class", ())) != 2 * space["n"]:
+        raise ConfigError("/form/class", f"needs {2 * space['n']} coefficients")
+    seeds = merged.get("seeds", {"kind": "full"})
+    if seeds.get("kind") not in ("full", "momentum"):
+        raise ConfigError("/seeds/kind", "must be full or momentum")
+    if not isinstance(seeds.get("per_dim", 32), int) or seeds.get("per_dim", 32) < 1:
+        raise ConfigError("/seeds/per_dim", "must be a positive integer")
     integ = merged.get("integration", {})
     if integ.get("h", 1e-2) <= 0:
         raise ConfigError("/integration/h", "step must be positive")
     if integ.get("T0", 1.0) > integ.get("T_max", np.inf):
         raise ConfigError("/integration/T0", "T0 exceeds T_max")
+    if experiment in ("example1-bound", "example1-sharpness", "custom"):
+        if integ["T0"] <= 0:
+            raise ConfigError("/integration/T0", "must be positive")
+        for T in doubling_horizons(integ["T0"], integ["T_max"]):
+            if abs(round(T / integ["h"]) * integ["h"] - T) > 1e-9:
+                raise ConfigError("/integration/h", f"horizon {T} is not a multiple of h")
+    if experiment == "custom":  # runs the example1-bound checks
+        for key in builtin_config("example1-bound")["thresholds"]:
+            if key not in merged["thresholds"]:
+                raise ConfigError(f"/thresholds/{key}", "required for custom experiments")
     if not isinstance(merged.get("seed", 0), int):
         raise ConfigError("/seed", "seed must be an integer")
     return merged
@@ -538,34 +556,16 @@ def _run_nonauto(cfg, out, jobs):
 
 def _double_route_value(mu, F, alpha, space, h):
     """The (x, t) double-integral route, exposed for report symmetry."""
-    from .suspension import _simpson_weights
+    from .suspension import _double_route
     m = round(1.0 / h)
     fine = mu.source.lifts
-    n = mu.n_samples
-    arcs = np.stack([fine[k * m:(k + 1) * m + 1] for k in range(n)], axis=1)
-    flat = arcs.reshape(-1, arcs.shape[-1])
-    times = np.tile(np.arange(m + 1) * h, (n, 1)).T.reshape(-1)
-    grads = F.grad(flat, times)
-    velocities = grads @ space.omega.inverse.T
-    integrand = np.einsum("ij,ij->i", alpha.coefficients(flat), velocities)
-    integrand = integrand.reshape(m + 1, n)
-    w = _simpson_weights(m, h)
-    return float(mu.weights @ (w @ integrand))
+    arcs = np.stack([fine[k * m:(k + 1) * m + 1] for k in range(mu.n_samples)], axis=1)
+    return _double_route(arcs, mu.weights, F, alpha, space, h)
 
 
 def _global_range(F, space, grid_res=512):
     """max F - min F over a fine grid of the active coordinates (and time)."""
-    poly = F.poly
-    active = poly.active_dims()
-    axes = [np.arange(grid_res) / grid_res] * (len(active) + (1 if poly.is_time_dependent else 0))
-    if not axes:
-        return 0.0
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.zeros((mesh[0].size, poly.dim))
-    for k, dim_idx in enumerate(active):
-        X[:, dim_idx] = mesh[k].ravel()
-    t = mesh[-1].ravel() if poly.is_time_dependent else 0.0
-    vals = poly.eval(X, t)
+    vals = F.poly.grid_values(grid_res)
     return float(vals.max() - vals.min())
 
 

@@ -181,6 +181,14 @@ def full_seed_grid(space, per_dim=32):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def doubling_horizons(T0, T_max):
+    """T0, 2 T0, 4 T0, ... capped at T_max: the horizons of a doubling search."""
+    horizons = [T0]
+    while horizons[-1] < T_max - 1e-9:
+        horizons.append(min(2.0 * horizons[-1], T_max))
+    return horizons
+
+
 def extremal_orbit_search(F, alpha, space, seeds, T0=100.0, T_max=1e5, h=1e-2,
                           tol=1e-4):
     """Maximize |rotation pairing| over seed orbits with doubling horizons.
@@ -197,9 +205,7 @@ def extremal_orbit_search(F, alpha, space, seeds, T0=100.0, T_max=1e5, h=1e-2,
     if len(seeds) == 0:
         raise ValueError("empty seed grid")
     field = hamiltonian_field(F, space)
-    horizons = [T0]
-    while horizons[-1] < T_max - 1e-9:
-        horizons.append(min(2.0 * horizons[-1], T_max))
+    horizons = doubling_horizons(T0, T_max)
 
     cls = alpha.cclass.coeffs
     if alpha.potential is None:

@@ -97,24 +97,13 @@ def sup_norm(F, alpha, space, grid_res=512, lipschitz_pad=True):
 def _certified_sup(poly: TrigPoly, grid_res, lipschitz_pad=True):
     if poly.n_terms == 0:
         return 0.0
-    active = poly.active_dims()
-    time_active = poly.is_time_dependent
-    n_axes = len(active) + (1 if time_active else 0)
-    if n_axes == 0:
-        grid_max = float(abs(poly.eval(np.zeros((1, poly.dim)))[0]))
-        return grid_max  # constant: no pad needed
+    n_axes = len(poly.active_dims()) + poly.is_time_dependent
     if grid_res ** n_axes > 2 ** 26:
         raise ValueError(f"sup-norm grid with {n_axes} active dims at {grid_res} is too large")
-    axes = [np.arange(grid_res) / grid_res] * n_axes
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.zeros((mesh[0].size, poly.dim))
-    for k, dim_idx in enumerate(active):
-        X[:, dim_idx] = mesh[k].ravel()
-    t = mesh[-1].ravel() if time_active else 0.0
-    grid_max = float(np.abs(poly.eval(X, t)).max())
+    grid_max = float(np.abs(poly.grid_values(grid_res)).max())
     if not lipschitz_pad:
         return grid_max
-    return grid_max + 0.5 / grid_res * poly.grad_l1_bound()
+    return grid_max + 0.5 / grid_res * poly.grad_l1_bound()  # 0 for a constant
 
 
 def averaged_bracket(F, alpha, space, x, T, h) -> float:

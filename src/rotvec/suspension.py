@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Trajectory, VectorFieldSpec, _compile_gradient_map,
-                       _compile_scalar, birkhoff_stream, hamiltonian_field,
-                       integrate)
+from .dynamics import (Trajectory, VectorFieldSpec, birkhoff_stream,
+                       hamiltonian_field, integrate)
 from .errors import QuadratureWarning
 from .fields import HamiltonianSpec
 from .geometry import (ClosedOneForm, PhasePoint, PhaseSpace, RegionSpec,
                        SymplecticStructure, wrap)
-from .measures import ConvergenceReport, EmpiricalMeasure, measure_from_iterates
+from .measures import (ConvergenceReport, EmpiricalMeasure, doubling_horizons,
+                       measure_from_iterates)
 from .trig import TrigPoly
 
 
@@ -116,10 +116,8 @@ class SuspendedHamiltonian:
 def suspended_field(H: SuspendedHamiltonian) -> VectorFieldSpec:
     """The autonomous Hamiltonian field of H on N (sdot = 1, rdot = -dF/ds)."""
     nspace = H.nspace
-    const = nspace.omega.inverse @ H._e_r
-    vel = _compile_gradient_map(H.poly, nspace.omega.inverse, const=const)
-    conserved = _compile_scalar(H.poly, lin=H._e_r)
-    return VectorFieldSpec("suspended", nspace, vel, conserved, source=H)
+    vel = H.poly.gradient_map(nspace.omega.inverse, const=nspace.omega.inverse @ H._e_r)
+    return VectorFieldSpec("suspended", nspace, vel, H.eval, source=H)
 
 
 def suspension_flow(H: SuspendedHamiltonian, z0, T, h) -> Trajectory:
@@ -255,23 +253,24 @@ def rotation_pairing_time_one(mu: EmpiricalMeasure, F: HamiltonianSpec,
 
 def _pairing_from_arcs(arcs, weights, F, alpha, space, h, agreement_tol):
     """arcs: (m+1, B, dim) unit arcs; returns the loop-route pairing."""
-    m = arcs.shape[0] - 1
-    loop_vals = loop_integral(alpha, arcs[0], arcs[-1])
-    loop_route = float(weights @ loop_vals)
-
-    flat = arcs.reshape(-1, arcs.shape[-1])
-    times = np.tile(np.arange(m + 1) * h, (arcs.shape[1], 1)).T.reshape(-1)
-    grads = F.grad(flat, times)
-    velocities = grads @ space.omega.inverse.T
-    integrand = np.einsum("ij,ij->i", alpha.coefficients(flat), velocities)
-    integrand = integrand.reshape(m + 1, arcs.shape[1])
-    w = _simpson_weights(m, h)
-    double_route = float(weights @ (w @ integrand))
+    loop_route = float(weights @ loop_integral(alpha, arcs[0], arcs[-1]))
+    double_route = _double_route(arcs, weights, F, alpha, space, h)
     if abs(double_route - loop_route) > agreement_tol:
         warnings.warn(
             f"rotation-pairing formulas disagree: loop {loop_route}, "
             f"double integral {double_route}", QuadratureWarning)
     return loop_route
+
+
+def _double_route(arcs, weights, F, alpha, space, h):
+    """The (x, t) double integral of alpha(sgrad F_t) over (m+1, B, dim) unit arcs."""
+    m = arcs.shape[0] - 1
+    flat = arcs.reshape(-1, arcs.shape[-1])
+    times = np.tile(np.arange(m + 1) * h, (arcs.shape[1], 1)).T.reshape(-1)
+    velocities = F.grad(flat, times) @ space.omega.inverse.T
+    integrand = np.einsum("ij,ij->i", alpha.coefficients(flat), velocities)
+    integrand = integrand.reshape(m + 1, arcs.shape[1])
+    return float(weights @ (_simpson_weights(m, h) @ integrand))
 
 
 def _simpson_weights(m, h):
@@ -301,9 +300,7 @@ def map_orbit_search(F: HamiltonianSpec, alpha: ClosedOneForm, space: PhaseSpace
     if abs(m * h - 1.0) > 1e-12:
         raise ValueError(f"h = {h} does not divide the unit period")
     field = hamiltonian_field(F, space)
-    horizons = [float(n0)]
-    while horizons[-1] < n_max - 1e-9:
-        horizons.append(min(2.0 * horizons[-1], float(n_max)))
+    horizons = doubling_horizons(float(n0), float(n_max))
 
     best_values, diffs, ran = [], [], []
     converged = False

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from test_trig import PROPERTY, points, sin_sum, term_scale, trig_polys
 
 import rotvec as rv
 from rotvec.errors import BlowUp, StiffStep
+from rotvec.fields import HamiltonianSpec
+from rotvec.suspension import SuspendedHamiltonian, suspended_field
+from rotvec.trig import TrigPoly
 
 SIN2 = [(0.5, [0, 0], 0, "cos"), (-0.5, [1, 0], 0, "cos")]
 
@@ -191,3 +196,71 @@ def test_last_partial_step():
     traj = rv.integrate(field, [0.0, 0.0], 0.105, 1e-2)  # 10 full steps + 0.005
     assert traj.times[-1] == pytest.approx(0.105)
     assert traj.lifts[-1, 0] == pytest.approx(0.105, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# field velocities against the sin-sum oracle
+# ---------------------------------------------------------------------------
+
+SPACES = [rv.torus(1), rv.torus(2), rv.torus(2, rv.twisted_structure())]
+
+
+def assert_velocity(got, expected, poly, matrix):
+    assert got.shape == expected.shape
+    scale = np.abs(matrix).sum() * term_scale(poly, "grad")
+    assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kernel", ["sparse", "dense"])
+@PROPERTY
+@given(data=st.data())
+def test_field_velocities_match_sin_sum(kernel, data):
+    space = data.draw(st.sampled_from(SPACES))
+    inv = space.omega.inverse
+    X, t = data.draw(points(space.dim))
+
+    F = HamiltonianSpec(data.draw(trig_polys(kernel, space.dim)))
+    field = rv.hamiltonian_field(F, space)
+    expected = sin_sum(F.poly, X, t, "grad") @ inv.T
+    assert_velocity(field.velocity(X, t), expected, F.poly, inv)
+    assert_velocity(rv.reversed_field(field).velocity(X, t), -expected, F.poly, inv)
+    if F.autonomous:
+        energy = sin_sum(F.poly, X, 0.0, "eval")
+        assert np.abs(field.conserved(X) - energy).max() <= 1e-12 * term_scale(F.poly, "eval")
+
+    g = data.draw(trig_polys(kernel, space.dim, time=False))
+    cls = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=space.dim,
+                                      max_size=space.dim)))
+    lfield = rv.locally_hamiltonian_field(rv.one_form(cls, g), space)
+    expected = -(cls + sin_sum(g, X, t, "grad")) @ inv.T
+    assert_velocity(lfield.velocity(X, t), expected, g, inv)
+
+    # the suspension moves F's time frequencies onto s and adds the linear r term
+    H = SuspendedHamiltonian(F, space)
+    Z = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).uniform(
+        -1.0, 2.0, X.shape[:-1] + (H.dim,))
+    sfield = suspended_field(H)
+    ninv = H.nspace.omega.inverse
+    expected = (sin_sum(H.poly, Z, 0.0, "grad") + H._e_r) @ ninv.T
+    assert_velocity(sfield.velocity(Z), expected, H.poly, ninv)
+    energy = sin_sum(H.poly, Z, 0.0, "eval") + Z[..., space.n]
+    assert np.abs(sfield.conserved(Z) - energy).max() <= 1e-12 * term_scale(H.poly, "eval")
+
+
+def test_velocity_hooks(monkeypatch):
+    sp = rv.torus(1)
+    F = rv.fourier_hamiltonian(2, SIN2 + [(0.1, [1, 1], 0, "sin")])
+    field = rv.hamiltonian_field(F, sp)
+    assert len(field.velocity.amps) == F.poly.n_terms
+    chord = rv.locally_hamiltonian_field(rv.one_form([0.0, 0.5]), sp)
+    assert len(chord.velocity.amps) == 0
+    X = np.random.default_rng(0).random((4, 2))
+    expected = field.velocity(X, 0.0)
+
+    def public_call(*args, **kwargs):
+        raise AssertionError("velocity went through a public TrigPoly method")
+
+    for name in ("eval", "grad", "dt"):
+        monkeypatch.setattr(TrigPoly, name, public_call)
+    assert np.array_equal(field.velocity(X, 0.0), expected)
+    assert np.array_equal(chord.velocity(X, 0.0), np.tile([0.5, 0.0], (4, 1)))

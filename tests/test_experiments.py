@@ -38,6 +38,53 @@ def test_validate_config_errors():
     assert err.value.path == "/space/kind"
 
 
+CUSTOM = {
+    "experiment": "custom",
+    "space": {"kind": "torus", "n": 1, "omega": "standard"},
+    "family": {"family": "fourier",
+               "coeffs": [[0.5, [0, 0], 0, "cos"], [-0.5, [1, 0], 0, "cos"]]},
+    "form": {"class": [0.0, 1.0]},
+    "seeds": {"kind": "momentum", "per_dim": 8},
+    "integration": {"h": 0.01, "T0": 10.0, "T_max": 40.0, "tol": 1e-4},
+    "thresholds": {"full_class_pairing_min": 2.0, "best_value_target": np.pi,
+                   "best_value_tol": 1e-3},
+}
+
+
+def _config_error_path(config):
+    with pytest.raises(ConfigError) as err:
+        rv.validate_config(config)
+    return err.value.path
+
+
+def test_validate_custom_threshold_keys():
+    thresholds = {k: v for k, v in CUSTOM["thresholds"].items()
+                  if k != "full_class_pairing_min"}
+    config = {**CUSTOM, "thresholds": thresholds}
+    assert _config_error_path(config) == "/thresholds/full_class_pairing_min"
+
+
+def test_validate_horizons_multiple_of_h():
+    config = {"experiment": "example1-bound",
+              "integration": {"h": 0.03, "T0": 1.0, "T_max": 4.0}}
+    assert _config_error_path(config) == "/integration/h"
+    # single-horizon experiments keep any step, e.g. a chord step t*/200.5
+    rv.validate_config({"experiment": "chord",
+                        "integration": {"h": 1.0 / 200.5, "T0": 1.0, "T_max": 1.0}})
+
+
+def test_validate_form_class_length():
+    config = {"experiment": "example1-bound", "form": {"class": [0.0, 0.5, 1.0]}}
+    assert _config_error_path(config) == "/form/class"
+
+
+def test_validate_seeds():
+    config = {"experiment": "example1-bound", "seeds": {"kind": "nope", "per_dim": -3}}
+    assert _config_error_path(config) == "/seeds/kind"
+    config = {"experiment": "example1-bound", "seeds": {"kind": "full", "per_dim": -3}}
+    assert _config_error_path(config) == "/seeds/per_dim"
+
+
 def test_builtin_configs_validate():
     for name in rv.experiments.EXPERIMENTS:
         if name == "custom":
@@ -154,18 +201,7 @@ def test_explicit_omega_matrix_config(tmp_path):
 
 
 def test_custom_experiment_requires_sections(tmp_path):
-    custom = {
-        "experiment": "custom",
-        "space": {"kind": "torus", "n": 1, "omega": "standard"},
-        "family": {"family": "fourier",
-                   "coeffs": [[0.5, [0, 0], 0, "cos"], [-0.5, [1, 0], 0, "cos"]]},
-        "form": {"class": [0.0, 1.0]},
-        "seeds": {"kind": "momentum", "per_dim": 8},
-        "integration": {"h": 0.01, "T0": 10.0, "T_max": 40.0, "tol": 1e-4},
-        "thresholds": {"full_class_pairing_min": 2.0, "best_value_target": np.pi,
-                       "best_value_tol": 1e-3},
-    }
-    report = rv.run(custom, out_dir=tmp_path)
+    report = rv.run(CUSTOM, out_dir=tmp_path)
     assert report.results["full_class_pairing"]["value"] == pytest.approx(np.pi, abs=1e-3)
 
 
