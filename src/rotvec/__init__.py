@@ -28,9 +28,9 @@ from .measures import (ConvergenceReport, EmpiricalMeasure, average,
                        extremal_orbit_search, full_seed_grid, invariance_defect,
                        invariance_defect_bound, momentum_seed_grid,
                        rotation_pairing, rotation_vector)
-from .pbracket import (CandidateFamily, Chord, FixedCandidate, PbProblem,
-                       PbResult, PinnedProfileFamily, averaged_bracket, bracket,
-                       bracket_poly, chord_search, pb_upper_bound, sup_norm)
+from .pbracket import (Chord, FixedCandidate, PbProblem, PbResult,
+                       PinnedProfileFamily, averaged_bracket, bracket, bracket_poly,
+                       chord_search, pb_upper_bound, sup_norm)
 from .suspension import (CylinderMeasure, ExtendedPoint, SuspendedHamiltonian,
                          TimeOneOrbit, cylinder_measure_from_suspension,
                          extend_space, extended_point, loop_integral,

@@ -31,7 +31,7 @@ def _load_config(path):
 def cmd_run(args):
     config = _load_config(args.config)
     out = args.out or f"rotvec-results/{config.get('experiment', 'run')}"
-    report = run(config, out_dir=out, jobs=args.jobs)
+    report = run(config, out_dir=out)
     print(f"experiment: {report.experiment}  (seed {report.seed})")
     for name, entry in report.results.items():
         if isinstance(entry, dict) and "pass" in entry:
@@ -68,7 +68,6 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="path to a JSON experiment config")
-    p_run.add_argument("--jobs", type=int, default=1, help="worker cap (default 1)")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.set_defaults(fn=cmd_run)
 

@@ -41,6 +41,11 @@ EXPERIMENTS = (
     "custom",
 )
 
+# config sections that must be JSON objects when present; keys that no
+# experiment reads (such as retired optimizer settings) are ignored
+SECTIONS = ("space", "family", "form", "seeds", "integration", "regions", "optimizer",
+            "orbit", "chord", "iterates", "thresholds")
+
 
 # ---------------------------------------------------------------------------
 # configs
@@ -87,8 +92,7 @@ def builtin_config(experiment):
             "space": {"kind": "torus", "n": 1, "omega": "standard"},
             "regions": {"X": {"levels": [0.0]}, "Xp": {"levels": [0.5]}},
             "form": {"class": [0.0, 0.5]},
-            "optimizer": {"restarts": 8, "max_evals": 2000, "grid_res": 512,
-                          "cert_grid_res": 8192, "n_modes": 32, "alpha_modes": 0,
+            "optimizer": {"cert_grid_res": 8192, "n_modes": 32,
                           "pins": [[0.0, 0.0], [0.5, 1.0]]},
             "thresholds": {"value_range": [0.999, 1.05], "floor": 1.0},
         })
@@ -141,6 +145,9 @@ def validate_config(config):
         for section in ("space", "family", "form", "seeds", "thresholds"):
             if section not in merged:
                 raise ConfigError(f"/{section}", "required for custom experiments")
+    for section in SECTIONS:
+        if section in merged and not isinstance(merged[section], dict):
+            raise ConfigError(f"/{section}", "must be a JSON object")
     space = merged.get("space", {})
     if space:
         if space.get("kind") not in ("torus", "cotangent-of-torus"):
@@ -156,8 +163,14 @@ def validate_config(config):
     if family is not None and family.get("family") not in ("fourier", "pinned-profile"):
         raise ConfigError("/family/family", "must be fourier or pinned-profile")
     form = merged.get("form")
-    if form is not None and space and len(form.get("class", ())) != 2 * space["n"]:
-        raise ConfigError("/form/class", f"needs {2 * space['n']} coefficients")
+    if space:
+        dim = 2 * space["n"]
+        if family is not None and family["family"] == "fourier":
+            _check_waves(family.get("coeffs"), 4, dim, "/family/coeffs")
+        if form is not None and len(form.get("class", ())) != dim:
+            raise ConfigError("/form/class", f"needs {dim} coefficients")
+        if form is not None and form.get("potential"):
+            _check_waves(form["potential"], 3, dim, "/form/potential")
     seeds = merged.get("seeds", {"kind": "full"})
     if seeds.get("kind") not in ("full", "momentum"):
         raise ConfigError("/seeds/kind", "must be full or momentum")
@@ -178,9 +191,35 @@ def validate_config(config):
         for key in builtin_config("example1-bound")["thresholds"]:
             if key not in merged["thresholds"]:
                 raise ConfigError(f"/thresholds/{key}", "required for custom experiments")
+    if experiment == "pb-upper":
+        opt = merged["optimizer"]
+        if not _is_int(opt.get("n_modes"), 1):
+            raise ConfigError("/optimizer/n_modes", "must be a positive integer")
+        if not _is_int(opt.get("cert_grid_res"), 16):
+            raise ConfigError("/optimizer/cert_grid_res", "must be an integer >= 16")
+        pins = opt.get("pins")
+        if not isinstance(pins, list) or not all(
+                isinstance(pin, list) and len(pin) == 2
+                and all(isinstance(x, (int, float)) for x in pin)
+                for pin in pins):
+            raise ConfigError("/optimizer/pins", "must be a list of [t, v] pairs")
     if not isinstance(merged.get("seed", 0), int):
         raise ConfigError("/seed", "seed must be an integer")
     return merged
+
+
+def _is_int(x, lo):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= lo
+
+
+def _check_waves(waves, arity, dim, path):
+    """Every wave [c, k, ...] has ``arity`` entries and a length-``dim`` wave vector k."""
+    if not isinstance(waves, list):
+        raise ConfigError(path, "must be a list of waves")
+    for i, wave in enumerate(waves):
+        if not (isinstance(wave, list) and len(wave) == arity
+                and isinstance(wave[1], list) and len(wave[1]) == dim):
+            raise ConfigError(f"{path}/{i}", f"needs {arity} entries and a length-{dim} wave vector")
 
 
 def _build_space(cfg):
@@ -285,7 +324,7 @@ def _write_dat(path, header, columns):
 # experiment bodies
 # ---------------------------------------------------------------------------
 
-def _run_example1_bound(cfg, out, jobs):
+def _run_example1_bound(cfg, out):
     space = _build_space(cfg)
     F = parse_family(cfg["family"], space.dim)
     alpha = _build_form(cfg, space.dim)
@@ -325,7 +364,7 @@ def _run_example1_bound(cfg, out, jobs):
     return results, [], artifacts
 
 
-def _run_example1_sharpness(cfg, out, jobs):
+def _run_example1_sharpness(cfg, out):
     space = _build_space(cfg)
     F = parse_family(cfg["family"], space.dim)
     alpha = _build_form(cfg, space.dim)
@@ -366,7 +405,7 @@ def _run_example1_sharpness(cfg, out, jobs):
     return results, [], artifacts
 
 
-def _run_example3_twisted(cfg, out, jobs):
+def _run_example3_twisted(cfg, out):
     space = _build_space(cfg)
     F = parse_family(cfg["family"], space.dim)
     orbit = cfg["orbit"]
@@ -406,20 +445,15 @@ def _run_example3_twisted(cfg, out, jobs):
     return results, [], artifacts
 
 
-def _run_pb_upper(cfg, out, jobs):
+def _run_pb_upper(cfg, out):
     space = _build_space(cfg)
     opt = cfg["optimizer"]
     X = _build_region(cfg["regions"]["X"], space)
     Xp = _build_region(cfg["regions"]["Xp"], space)
     a = CohomologyClass(np.asarray(cfg["form"]["class"], dtype=float))
-    family = PinnedProfileFamily(
-        space, a, [(p, v) for p, v in opt["pins"]], n_modes=opt["n_modes"],
-        alpha_modes=opt.get("alpha_modes", 0))
+    family = PinnedProfileFamily(space, a, opt["pins"], n_modes=opt["n_modes"])
     problem = PbProblem(space, X, Xp, a, family, floor=cfg["thresholds"]["floor"])
-    result = pb_upper_bound(
-        problem, restarts=opt["restarts"], max_evals=opt["max_evals"],
-        grid_res=opt["grid_res"], cert_grid_res=opt["cert_grid_res"],
-        seed=cfg["seed"], jobs=jobs)
+    result = pb_upper_bound(problem, cert_grid_res=opt["cert_grid_res"])
     lo, hi = cfg["thresholds"]["value_range"]
     results = {
         "pb_upper_bound": _result(
@@ -446,7 +480,7 @@ def _run_pb_upper(cfg, out, jobs):
     return results, [], artifacts
 
 
-def _run_chord(cfg, out, jobs):
+def _run_chord(cfg, out):
     space = _build_space(cfg)
     alpha = _build_form(cfg, space.dim)
     X = _build_region(cfg["regions"]["X"], space)
@@ -482,7 +516,7 @@ def _run_chord(cfg, out, jobs):
     return results, [], artifacts
 
 
-def _run_nonauto(cfg, out, jobs):
+def _run_nonauto(cfg, out):
     space = _build_space(cfg)
     F = parse_family(cfg["family"], space.dim)
     alpha = _build_form(cfg, space.dim)
@@ -569,8 +603,8 @@ def _global_range(F, space, grid_res=512):
     return float(vals.max() - vals.min())
 
 
-def _run_custom(cfg, out, jobs):
-    return _run_example1_bound(cfg, out, jobs)
+def _run_custom(cfg, out):
+    return _run_example1_bound(cfg, out)
 
 
 def _coord_names(space):
@@ -592,7 +626,7 @@ _RUNNERS = {
 }
 
 
-def run(config, out_dir=None, jobs=1) -> Report:
+def run(config, out_dir=None) -> Report:
     """Validate, run and report one experiment.
 
     ``out_dir`` receives report.json and the experiment's data artifacts; when
@@ -607,7 +641,7 @@ def run(config, out_dir=None, jobs=1) -> Report:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    results, notes, artifacts = _RUNNERS[cfg["experiment"]](cfg, out, jobs)
+    results, notes, artifacts = _RUNNERS[cfg["experiment"]](cfg, out)
     runtime = time.perf_counter() - start
     passed = all(entry.get("pass", True) for entry in results.values()
                  if isinstance(entry, dict))

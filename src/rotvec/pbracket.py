@@ -9,11 +9,14 @@ trigonometric polynomial and omega has constant coefficients, the bracket is
 again an exact trigonometric polynomial: sup norms can therefore be certified
 (grid maximum plus a Fourier-coefficient curvature pad), not merely sampled.
 
-``pb_upper_bound`` minimizes the certified sup norm over a parametric family
-of admissible pairs (F <= 0 on X, F >= 1 on X'; alpha in a fixed class): a
-numerical upper bound for the minimax bracket invariant of (X, X', class).
-The matching lower bound is theory input (non-displaceability), asserted by
-the caller, never computed here.
+``pb_upper_bound(problem, cert_grid_res)`` certifies the sup norm of the
+bracket for the candidate of a family of admissible pairs (F <= 0 on X,
+F >= 1 on X'; alpha in a fixed class): a numerical upper bound for the
+minimax bracket invariant of (X, X', class). For pinned profiles
+F = u(x_coord) the bracket is linear in the profile coefficients, so the
+family's candidate is the linear-programming optimum of max|u'| and no
+search is needed. The matching lower bound is theory input
+(non-displaceability), asserted by the caller, never computed here.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dynamics import birkhoff_stream, hamiltonian_field, locally_hamiltonian_field, midpoint_step
 from .errors import InfeasibleFamily, InternalInconsistency
-from .fields import HamiltonianSpec, make_pinned_profile
+from .fields import HamiltonianSpec, _profile_basis, make_pinned_profile
 from .geometry import (ClosedOneForm, CohomologyClass, PhasePoint, PhaseSpace,
                        RegionSpec, circular_residual, wrap)
 from .trig import TrigPoly
@@ -132,115 +134,47 @@ def averaged_bracket(F, alpha, space, x, T, h) -> float:
 # minimax problems
 # ---------------------------------------------------------------------------
 
-class CandidateFamily:
-    """A parametric family of admissible pairs (F, alpha) for pb optimization.
-
-    Subclasses map a parameter vector to a candidate; parameters unrelated to
-    the constraints (profile null-space coordinates, potential coefficients)
-    are free, and the constraints F|_X <= 0, F|_X' >= 1 are enforced by
-    construction and re-validated on the region grids by the optimizer.
-    """
-
-    n_params = 0
-
-    def build(self, params):
-        raise NotImplementedError
-
-    def initial_params(self, rng, restart_index):
-        """Start of restart k; index 0 is the family's canonical candidate."""
-        raise NotImplementedError
-
-    def describe(self):
-        return {"n_params": self.n_params}
-
-
-class FixedCandidate(CandidateFamily):
-    """A single fixed pair: no optimization freedom."""
+class FixedCandidate:
+    """A single fixed pair (F, alpha)."""
 
     def __init__(self, F, alpha):
         self.F, self.alpha = F, alpha
-        self.n_params = 0
 
-    def build(self, params):
+    def candidate(self):
         return self.F, self.alpha
-
-    def initial_params(self, rng, restart_index):
-        return np.zeros(0)
 
     def describe(self):
         return {"kind": "fixed", "n_params": 0}
 
 
-class PinnedProfileFamily(CandidateFamily):
-    """Profiles F = u(p_coord) with pinned values, plus an optional alpha potential.
+class PinnedProfileFamily:
+    """Profiles F = u(x_coord) with pinned values, paired with alpha = a.
 
-    Parameters are null-space coordinates of the pin constraints (so every
-    candidate satisfies the pins exactly) followed by the trigonometric
-    potential coefficients of alpha. Restart 0 starts from the minimal-slope
-    profile; later restarts perturb it.
+    For F = u(x_c) and a potential g(x_c) in the same coordinate, the bracket
+    is {F, alpha} = (a . Omega^{-1} e_c) u'(x_c): the potential term
+    g' u' (Omega^{-1})_cc vanishes because Omega^{-1} is antisymmetric. The
+    objective is therefore linear in the profile coefficients, and its
+    optimum over the pinned family is the minimal-slope profile of
+    ``fields.make_pinned_profile`` (up to its slope grid).
     """
 
-    def __init__(self, space, a: CohomologyClass, pins, n_modes=32, coord=0,
-                 alpha_modes=0, spread=0.5):
-        from .fields import _profile_basis, _profile_poly, profile_hamiltonian
-
+    def __init__(self, space, a: CohomologyClass, pins, n_modes=32, coord=0):
         self.space = space
         self.a = a
         self.pins = [(float(t), float(v)) for t, v in pins]
         self.n_modes = n_modes
         self.coord = coord
-        self.alpha_modes = alpha_modes
-        self.spread = spread
-        self._profile_poly = _profile_poly
-        self._profile_ham = profile_hamiltonian
 
-        n_coeff = 2 * n_modes + 1
-        pts = np.array([t for t, _ in self.pins])
-        vals = np.array([v for _, v in self.pins])
-        P = _profile_basis(pts, n_modes)
-        self._theta0, *_ = np.linalg.lstsq(P, vals, rcond=None)
-        # orthonormal null-space basis of the pin constraints
-        _, sv, vt = np.linalg.svd(P)
-        rank = int((sv > 1e-12 * sv[0]).sum()) if len(sv) else 0
-        self._null = vt[rank:].T  # (n_coeff, n_coeff - rank)
-        self._seed_profile = make_pinned_profile(
-            self.pins, slope_target=np.inf, n_modes=n_modes, dim=space.dim, coord=coord
-        )
-        seed_theta = np.array(self._seed_profile.metadata["profile_coeffs"])
-        self._z_seed = self._null.T @ (seed_theta - self._theta0)
-        self.n_params = self._null.shape[1] + 2 * alpha_modes
-
-    def build(self, params):
-        nz = self._null.shape[1]
-        theta = self._theta0 + self._null @ params[:nz]
-        F = self._profile_ham(self._profile_poly(theta, self.n_modes), self.space.dim,
-                              coord=self.coord, family="pinned-profile")
-        pot = None
-        if self.alpha_modes:
-            pot = TrigPoly.zero(self.space.dim)
-            for j in range(1, self.alpha_modes + 1):
-                kvec = np.zeros(self.space.dim, dtype=int)
-                kvec[self.coord] = j
-                c_cos, c_sin = params[nz + 2 * (j - 1)], params[nz + 2 * j - 1]
-                pot = pot + TrigPoly.wave(self.space.dim, c_cos, kvec, 0, "cos")
-                pot = pot + TrigPoly.wave(self.space.dim, c_sin, kvec, 0, "sin")
-        return F, ClosedOneForm(self.a, pot)
-
-    def initial_params(self, rng, restart_index):
-        z = np.zeros(self.n_params)
-        z[: len(self._z_seed)] = self._z_seed
-        if restart_index > 0:
-            z = z + self.spread * rng.standard_normal(self.n_params)
-        return z
+    def candidate(self):
+        F = make_pinned_profile(self.pins, slope_target=np.inf, n_modes=self.n_modes,
+                                dim=self.space.dim, coord=self.coord)
+        return F, ClosedOneForm(self.a)
 
     def describe(self):
-        return {
-            "kind": "pinned-profile",
-            "n_params": self.n_params,
-            "profile_null_dim": int(self._null.shape[1]),
-            "alpha_potential_dim": 2 * self.alpha_modes,
-            "n_modes": self.n_modes,
-        }
+        pins = _profile_basis([t for t, _ in self.pins], self.n_modes)
+        null_dim = 2 * self.n_modes + 1 - int(np.linalg.matrix_rank(pins))
+        return {"kind": "pinned-profile", "profile_null_dim": null_dim,
+                "n_modes": self.n_modes}
 
 
 @dataclass
@@ -256,7 +190,7 @@ class PbProblem:
     X: RegionSpec
     Xp: RegionSpec
     a: CohomologyClass
-    family: CandidateFamily
+    family: FixedCandidate | PinnedProfileFamily
     floor: float | None = None
     constraint_tol: float = 1e-9
 
@@ -282,82 +216,29 @@ class PbResult:
     audit: dict
 
 
-def pb_upper_bound(problem: PbProblem, restarts=8, max_evals=2000, grid_res=512,
-                   cert_grid_res=4096, seed=0, jobs=1) -> PbResult:
-    """Minimize the certified sup norm of {F, alpha} over the candidate family.
+def pb_upper_bound(problem: PbProblem, cert_grid_res=4096) -> PbResult:
+    """Certify the sup norm of {F, alpha} for the family's candidate.
 
-    Nelder-Mead with ``restarts`` starts (the family's canonical candidate
-    first, random perturbations after), each capped at ``max_evals``
-    evaluations; infeasible candidates score +inf. Restarts are independent
-    and may run on ``jobs`` workers; the reduction is by restart index, so the
-    result is identical for any jobs value. The winner is re-certified on the
-    finer ``cert_grid_res`` grid and re-validated; the audit records
-    constraint checks, family dimensions and the smallest certified value any
-    feasible candidate ever achieved.
+    The candidate is validated against the region constraints, its bracket is
+    certified on a ``cert_grid_res`` grid (grid maximum plus Lipschitz pad),
+    and the audit records the constraint checks, the family dimensions and
+    the certified split.
     """
-    rng = np.random.default_rng(seed)
-    family = problem.family
-    audit = {"family": family.describe(), "restarts": [], "grid_res": grid_res,
-             "cert_grid_res": cert_grid_res, "floor_asserted": problem.floor}
-
-    def make_objective(tracker):
-        def objective(params):
-            F, alpha = family.build(np.asarray(params))
-            ok, _ = problem.validate_candidate(F)
-            if not ok:
-                return np.inf
-            val = sup_norm(F, alpha, problem.space, grid_res=grid_res)
-            tracker[0] = min(tracker[0], val)
-            return val
-        return objective
-
-    starts = [family.initial_params(rng, r) for r in range(restarts)]
-
-    def run_restart(r):
-        tracker = [np.inf]
-        objective = make_objective(tracker)
-        x0 = starts[r]
-        if family.n_params == 0:
-            val = objective(x0)
-            return {"restart": r, "value": val, "evals": 1}, x0, val, tracker[0]
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxfev": max_evals, "xatol": 1e-10, "fatol": 1e-12})
-        entry = {"restart": r, "value": float(res.fun), "evals": int(res.nfev),
-                 "converged": bool(res.success)}
-        return entry, res.x, float(res.fun), tracker[0]
-
-    indices = range(1 if family.n_params == 0 else restarts)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_restart, indices))
-    else:
-        outcomes = [run_restart(r) for r in indices]
-
-    best_params, best_val = None, np.inf
-    feasible_min = np.inf
-    for entry, params, val, seen in outcomes:
-        audit["restarts"].append(entry)
-        feasible_min = min(feasible_min, seen)
-        if val < best_val:
-            best_val, best_params = val, params
-    if best_params is None or not np.isfinite(best_val):
-        raise InfeasibleFamily("no candidate in the family satisfied the constraints")
-
-    F, alpha = family.build(np.asarray(best_params))
+    F, alpha = problem.family.candidate()
     ok, constraint_audit = problem.validate_candidate(F)
     if not ok:
-        raise InfeasibleFamily("winning candidate failed final constraint validation")
+        raise InfeasibleFamily("the family's candidate fails the region constraints")
     certified = sup_norm(F, alpha, problem.space, grid_res=cert_grid_res)
     grid_only = sup_norm(F, alpha, problem.space, grid_res=cert_grid_res, lipschitz_pad=False)
-    audit["winner"] = {
-        "params": np.asarray(best_params).tolist(),
-        "constraints": constraint_audit,
-        "grid_max": grid_only,
-        "pad": certified - grid_only,
-        "certified": certified,
+    audit = {
+        "family": problem.family.describe(),
+        "restarts": [],  # no search runs; the key stays for readers of the audit schema
+        "cert_grid_res": cert_grid_res,
+        "floor_asserted": problem.floor,
+        "winner": {"constraints": constraint_audit, "grid_max": grid_only,
+                   "pad": certified - grid_only, "certified": certified},
+        "min_certified_seen": float(certified),
     }
-    audit["min_certified_seen"] = float(feasible_min)
     return PbResult(value=float(certified), F=F, alpha=alpha, audit=audit)
 
 

@@ -85,6 +85,30 @@ def test_validate_seeds():
     assert _config_error_path(config) == "/seeds/per_dim"
 
 
+def test_validate_non_object_sections():
+    assert _config_error_path({"experiment": "example1-bound", "seeds": [1, 2]}) == "/seeds"
+    assert _config_error_path({"experiment": "pb-upper", "optimizer": "x"}) == "/optimizer"
+    assert _config_error_path({"experiment": "chord", "regions": 3}) == "/regions"
+
+
+def test_validate_optimizer_fields():
+    def path(**optimizer):
+        return _config_error_path({"experiment": "pb-upper", "optimizer": optimizer})
+
+    assert path(n_modes=0) == "/optimizer/n_modes"
+    assert path(n_modes=4.5) == "/optimizer/n_modes"
+    assert path(cert_grid_res=8) == "/optimizer/cert_grid_res"
+    assert path(pins=[[0.0, 0.0], [0.5]]) == "/optimizer/pins"
+    assert path(pins={"0": 1}) == "/optimizer/pins"
+
+
+def test_validate_wave_vector_lengths():
+    family = {"family": "fourier", "coeffs": [[0.5, [0, 0], 0, "cos"], [1.0, [1, 0, 0], 0, "cos"]]}
+    assert _config_error_path({**CUSTOM, "family": family}) == "/family/coeffs/1"
+    form = {"class": [0.0, 1.0], "potential": [[0.1, [1], "cos"]]}
+    assert _config_error_path({**CUSTOM, "form": form}) == "/form/potential/0"
+
+
 def test_builtin_configs_validate():
     for name in rv.experiments.EXPERIMENTS:
         if name == "custom":
@@ -272,13 +296,14 @@ def test_chord_on_cotangent_bundle_config():
     assert report.results["t_star"]["value"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_jobs_flag_deterministic(tmp_path):
-    # --jobs caps the worker pool; jobs > 1 must not change the result
-    cfg = {"experiment": "pb-upper",
-           "optimizer": {"restarts": 2, "max_evals": 60, "grid_res": 128,
-                         "cert_grid_res": 1024, "n_modes": 6,
-                         "pins": [[0.0, 0.0], [0.5, 1.0]]},
-           "thresholds": {"value_range": [0.999, 3.0], "floor": 1.0}}
-    r1 = rv.run(cfg, out_dir=None, jobs=1)
-    r2 = rv.run(cfg, out_dir=None, jobs=2)
-    assert r1.results["pb_upper_bound"]["value"] == r2.results["pb_upper_bound"]["value"]
+def test_pb_upper_builtin_headline_ignores_seed_and_retired_keys():
+    # the LP candidate, certified at 8192: no seed and no retired optimizer
+    # setting (the Nelder-Mead budget and the potential modes) changes it
+    report = rv.run({"experiment": "pb-upper"})
+    value = report.results["pb_upper_bound"]["value"]
+    assert report.passed and report.results["floor_respected"]["pass"]
+    assert value == pytest.approx(1.0398567, abs=1e-6)
+    retired = {"experiment": "pb-upper", "seed": 7,
+               "optimizer": {"restarts": 2, "max_evals": 60, "grid_res": 128,
+                             "alpha_modes": 2, "spread": 3.0}}
+    assert rv.run(retired).results["pb_upper_bound"]["value"] == value

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 import rotvec as rv
 from rotvec.errors import InfeasibleFamily
+from rotvec.fields import _profile_basis, _profile_poly
 from rotvec.trig import TrigPoly
 
 SIN2 = [(0.5, [0, 0], 0, "cos"), (-0.5, [1, 0], 0, "cos")]
@@ -12,13 +15,12 @@ def sin2():
     return rv.fourier_hamiltonian(2, SIN2)
 
 
-def example1_problem(n_modes=24, alpha_modes=0):
+def example1_problem(n_modes=24, shift=0.0):
     sp = rv.torus(1)
     a = rv.CohomologyClass([0.0, 0.5])
-    X = rv.momentum_level_torus(sp, [0.0])
-    Xp = rv.momentum_level_torus(sp, [0.5])
-    fam = rv.PinnedProfileFamily(sp, a, [(0.0, 0.0), (0.5, 1.0)], n_modes=n_modes,
-                                 alpha_modes=alpha_modes)
+    X = rv.momentum_level_torus(sp, [shift])
+    Xp = rv.momentum_level_torus(sp, [shift + 0.5])
+    fam = rv.PinnedProfileFamily(sp, a, [(shift, 0.0), (shift + 0.5, 1.0)], n_modes=n_modes)
     return rv.PbProblem(sp, X, Xp, a, fam, floor=1.0)
 
 
@@ -204,7 +206,7 @@ def test_pb_upper_bound_fixed_candidate():
     F0 = rv.fourier_hamiltonian(2, SIN2 + [(5.0 / (2 * np.pi), [1, 0], 0, "sin")])
     alpha = rv.ClosedOneForm(a)
     prob = rv.PbProblem(sp, X, Xp, a, rv.FixedCandidate(F0, alpha))
-    res = rv.pb_upper_bound(prob, cert_grid_res=4096, seed=1)
+    res = rv.pb_upper_bound(prob, cert_grid_res=4096)
     assert res.value == pytest.approx(rv.sup_norm(F0, alpha, sp, grid_res=4096))
     assert res.value == pytest.approx(0.5 * np.hypot(np.pi, 5.0), abs=2e-2)
     assert res.audit["family"]["n_params"] == 0
@@ -218,19 +220,96 @@ def test_pb_upper_bound_infeasible_family():
     bad = rv.fourier_hamiltonian(2, [(0.1, [1, 0], 0, "sin")])  # violates both pins
     prob = rv.PbProblem(sp, X, Xp, a, rv.FixedCandidate(bad, rv.ClosedOneForm(a)))
     with pytest.raises(InfeasibleFamily):
-        rv.pb_upper_bound(prob, seed=0)
+        rv.pb_upper_bound(prob)
 
 
 def test_pb_upper_bound_example1_small():
     # reduced-budget version of the flagship run: still certifies inside the
     # [floor, oracle-ceiling] bracket
     prob = example1_problem(n_modes=24)
-    res = rv.pb_upper_bound(prob, restarts=2, max_evals=400, grid_res=256,
-                            cert_grid_res=8192, seed=0)
+    res = rv.pb_upper_bound(prob, cert_grid_res=8192)
     assert 0.999 <= res.value <= 1.06
     assert res.audit["min_certified_seen"] >= 0.999
     assert res.audit["winner"]["constraints"]["ok"]
     assert res.audit["family"]["profile_null_dim"] == 2 * 24 + 1 - 2
+
+
+def wave_sum(dim, coord, coeffs):
+    """sum_j c_j cos(2 pi j x_coord) + s_j sin(2 pi j x_coord), from [c0, c1, s1, c2, s2, ...]."""
+    poly = TrigPoly.constant(dim, coeffs[0])
+    for j in range(1, (len(coeffs) + 1) // 2):
+        k = np.zeros(dim, dtype=int)
+        k[coord] = j
+        poly = poly + TrigPoly.wave(dim, coeffs[2 * j - 1], k, 0, "cos")
+        poly = poly + TrigPoly.wave(dim, coeffs[2 * j], k, 0, "sin")
+    return poly
+
+
+SPACES = [rv.torus(1), rv.torus(2), rv.torus(2, rv.twisted_structure())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_potential_in_profile_coordinate_drops_out(data):
+    # F = u(x_c), alpha = a + dg(x_c): the potential term g' u' (Omega^-1)_cc
+    # vanishes because Omega^-1 is antisymmetric, on p and q coordinates alike
+    sp = SPACES[data.draw(st.integers(0, len(SPACES) - 1))]
+    coord = data.draw(st.integers(0, sp.dim - 1))
+    def draw_coeffs(n):
+        return data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+
+    u = draw_coeffs(2 * data.draw(st.integers(1, 6)) + 1)
+    g = draw_coeffs(2 * data.draw(st.integers(1, 4)) + 1)
+    a = rv.CohomologyClass(draw_coeffs(sp.dim))
+    F = rv.HamiltonianSpec(wave_sum(sp.dim, coord, u))
+    with_g = rv.bracket_poly(F, rv.ClosedOneForm(a, wave_sum(sp.dim, coord, g)), sp)
+    without = rv.bracket_poly(F, rv.ClosedOneForm(a), sp)
+    X = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).uniform(-1, 2, (32, sp.dim))
+    assert np.max(np.abs(with_g.eval(X) - without.eval(X))) <= 1e-12
+
+
+def nelder_mead_oracle(problem, restarts=2, max_evals=80, grid_res=512,
+                       cert_grid_res=8192, spread=0.5, seed=0):
+    """The search pb_upper_bound replaced, as the differential reference.
+
+    Nelder-Mead over the null space of the pin constraints, restart 0 from the
+    minimal-slope profile and later restarts from random perturbations of it;
+    the best value on the coarse grid is re-certified on the fine one.
+    """
+    fam, sp = problem.family, problem.space
+    alpha = rv.ClosedOneForm(problem.a)
+    P = _profile_basis([t for t, _ in fam.pins], fam.n_modes)
+    theta0, *_ = np.linalg.lstsq(P, [v for _, v in fam.pins], rcond=None)
+    _, sv, vt = np.linalg.svd(P)
+    null = vt[int((sv > 1e-12 * sv[0]).sum()):].T
+    seed_profile = rv.make_pinned_profile(fam.pins, slope_target=np.inf, n_modes=fam.n_modes)
+    z_seed = null.T @ (np.array(seed_profile.metadata["profile_coeffs"]) - theta0)
+
+    def build(z):
+        return rv.profile_hamiltonian(_profile_poly(theta0 + null @ z, fam.n_modes), sp.dim)
+
+    def objective(z):
+        F = build(z)
+        if not problem.validate_candidate(F)[0]:
+            return np.inf
+        return rv.sup_norm(F, alpha, sp, grid_res=grid_res)
+
+    rng = np.random.default_rng(seed)
+    best = None
+    for r in range(restarts):
+        z0 = z_seed if r == 0 else z_seed + spread * rng.standard_normal(len(z_seed))
+        res = minimize(objective, z0, method="Nelder-Mead",
+                       options={"maxfev": max_evals, "xatol": 1e-10, "fatol": 1e-12})
+        if best is None or res.fun < best.fun:
+            best = res
+    return rv.sup_norm(build(best.x), alpha, sp, grid_res=cert_grid_res)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.13])
+def test_pb_upper_bound_no_worse_than_nelder_mead(shift):
+    prob = example1_problem(n_modes=24, shift=shift)
+    value = rv.pb_upper_bound(prob, cert_grid_res=8192).value
+    assert 0.999 <= value <= nelder_mead_oracle(prob) + 1e-9
 
 
 def test_chord_search_examples():
