@@ -32,7 +32,7 @@ def cmd_run(args):
     config = _load_config(args.config)
     out = args.out or f"rotvec-results/{config.get('experiment', 'run')}"
     report = run(config, out_dir=out)
-    print(f"experiment: {report.experiment}  (seed {report.seed})")
+    print(f"experiment: {report.experiment}")
     for name, entry in report.results.items():
         if isinstance(entry, dict) and "pass" in entry:
             status = "PASS" if entry["pass"] else "FAIL"

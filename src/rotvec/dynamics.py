@@ -13,6 +13,10 @@ the very long horizons Birkhoff averaging needs (and which is exact for the
 momentum-only fields of the builtin examples). RK4 is provided for
 cross-validation only. Lifts are never re-wrapped mid-integration, so winding
 counts are read off from plain coordinate differences.
+
+All stepping is one loop, the node generator ``_nodes``, which steps a (B, dim)
+batch of orbits and yields (t, X, V) at every node: ``integrate`` stores the
+nodes, ``birkhoff_stream`` folds them into averages, the chord search bisects.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ class Trajectory:
 
     space: PhaseSpace
     times: np.ndarray
-    lifts: np.ndarray  # (n_nodes, dim)
+    lifts: np.ndarray  # (n_nodes, dim), or (n_nodes, B, dim) for a batch
     h: float
     field_kind: str
     energies: np.ndarray | None = None
@@ -196,30 +200,45 @@ def rk4_step(vel, X, t, h, v_node=None):
 _STEPPERS = {"midpoint": midpoint_step, "rk4": rk4_step}
 
 
+def _nodes(field, X, T, h, t0=0.0, method="midpoint"):
+    """Step the batch X (B, dim) over [t0, t0 + T]; yield (t, X, V) at every node.
+
+    Node k is at t0 + k*h, plus a last, shorter step to t0 + T if h does not
+    divide T. The node velocity V is the predictor of the step leaving it.
+    Raises BlowUp on a non-finite state (checked every 512 steps and at the end).
+    """
+    step = _STEPPERS[method]  # looked up per call: perfbench's tracer re-points it
+    vel = field.velocity
+    X = np.array(X, dtype=float)
+    n_full, remainder = _step_counts(T, h)
+    t = t0
+    for k in range(n_full + bool(remainder)):
+        V = vel(X, t)
+        yield t, X, V
+        X, _ = step(vel, X, t, h if k < n_full else remainder, V)
+        t = t0 + (k + 1) * h if k < n_full else t0 + T
+        if k % 512 == 0 and not np.all(np.isfinite(X)):
+            raise BlowUp(f"non-finite state at t = {t}")
+    if not np.all(np.isfinite(X)):
+        raise BlowUp(f"non-finite state at t = {t}")
+    yield t, X, vel(X, t)
+
+
 def integrate(field: VectorFieldSpec, x0, T, h, method="midpoint") -> Trajectory:
-    """Integrate from x0 over [0, T] with fixed step h (last step may be shorter)."""
+    """Integrate from x0 over [0, T] with fixed step h (last step may be shorter).
+
+    x0 is one point (dim,) or a batch (B, dim); lifts are (n_nodes,) + x0.shape.
+    """
     if T <= 0 or h <= 0:
         raise ValueError("require T > 0 and h > 0")
-    step = _STEPPERS[method]
     x0 = np.asarray(getattr(x0, "lift", x0), dtype=float)
+    X0 = x0.reshape(-1, field.space.dim)
     n_full, remainder = _step_counts(T, h)
-    n_nodes = n_full + 1 + (1 if remainder else 0)
-    lifts = np.empty((n_nodes, field.space.dim))
-    times = np.empty(n_nodes)
-    lifts[0], times[0] = x0, 0.0
-    X = x0[None, :]
-    t = 0.0
-    for i in range(n_full):
-        X, _ = step(field.velocity, X, t, h)
-        t += h
-        lifts[i + 1], times[i + 1] = X[0], t
-        if i % 512 == 0 and not np.all(np.isfinite(X)):
-            raise BlowUp(f"non-finite state at t = {t}")
-    if remainder:
-        X, _ = step(field.velocity, X, t, remainder)
-        lifts[-1], times[-1] = X[0], T
-    if not np.all(np.isfinite(lifts)):
-        raise BlowUp("non-finite state in trajectory")
+    times = np.empty(n_full + 1 + bool(remainder))
+    lifts = np.empty(times.shape + X0.shape)
+    for i, (t, X, _) in enumerate(_nodes(field, X0, T, h, method=method)):
+        times[i], lifts[i] = t, X
+    lifts = lifts.reshape(times.shape + x0.shape)
     energies = field.conserved(lifts) if field.conserved is not None else None
     return Trajectory(field.space, times, lifts, h, field.kind, energies)
 
@@ -230,6 +249,14 @@ def reversed_field(field: VectorFieldSpec) -> VectorFieldSpec:
                            field.source, field.autonomous)
 
 
+def _steps_per_unit(h):
+    """m = 1/h, the steps per unit period; ValueError unless h = 1/m exactly."""
+    m = round(1.0 / h)
+    if m < 1 or abs(m * h - 1.0) > 1e-12:
+        raise ValueError(f"h = {h} does not divide the unit period")
+    return m
+
+
 def time_one_map(F: HamiltonianSpec, space: PhaseSpace, x0, h):
     """Time-one map of a 1-periodic Hamiltonian, plus the full unit arc.
 
@@ -238,11 +265,8 @@ def time_one_map(F: HamiltonianSpec, space: PhaseSpace, x0, h):
     whose lift displacement gives loop integrals of constant-coefficient forms
     exactly.
     """
-    m = round(1.0 / h)
-    if abs(m * h - 1.0) > 1e-12:
-        raise ValueError(f"h = {h} does not divide the unit period")
-    field = hamiltonian_field(F, space)
-    arc = integrate(field, x0, 1.0, h)
+    _steps_per_unit(h)
+    arc = integrate(hamiltonian_field(F, space), x0, 1.0, h)
     return arc.final, arc
 
 
@@ -266,38 +290,20 @@ def birkhoff_stream(field, X0, horizons, h, integrands, method="midpoint"):
     (n_integrands, B) over [0, T] and states the (B, dim) lifts at T. The
     orbit continues across horizons, so stopping early wastes nothing.
     """
-    step = _STEPPERS[method]
-    X = np.array(X0, dtype=float)
     horizons = list(horizons)
     counts = [round(T / h) for T in horizons]
     for T, c in zip(horizons, counts):
         if abs(c * h - T) > 1e-9:
             raise ValueError(f"horizon {T} is not a multiple of h = {h}")
-    B = X.shape[0]
-    sums = np.zeros((len(integrands), B))
-    v_node = field.velocity(X, 0.0)
-    f_node = np.array([f(X, v_node, 0.0) for f in integrands]) if integrands else None
-    t = 0.0
-    k = 0
-    for T, c in zip(horizons, counts):
-        while k < c:
-            if integrands:
+    sums = np.zeros((len(integrands), len(X0)))
+    pending = 0
+    for k, (t, X, V) in enumerate(_nodes(field, X0, counts[-1] * h, h, method=method)):
+        if integrands:
+            f_node = np.array([f(X, V, t) for f in integrands])
+            if k:
+                sums += 0.5 * h * f_prev
                 sums += 0.5 * h * f_node
-            X, _ = step(field.velocity, X, t, h, v_node)
-            t = (k + 1) * h
-            v_node = field.velocity(X, t)
-            if integrands:
-                f_node = np.array([f(X, v_node, t) for f in integrands])
-                sums += 0.5 * h * f_node
-            k += 1
-        if not np.all(np.isfinite(X)):
-            raise BlowUp(f"non-finite state at t = {t}")
-        yield T, sums / T, X.copy()
-
-
-def birkhoff_accumulate(field, X0, horizons, h, integrands, method="midpoint"):
-    """Eager form of :func:`birkhoff_stream`: returns (averages, states) arrays."""
-    results = list(birkhoff_stream(field, X0, horizons, h, integrands, method))
-    averages = np.stack([r[1] for r in results])
-    states = np.stack([r[2] for r in results])
-    return averages, states
+            f_prev = f_node
+        while pending < len(counts) and counts[pending] == k:
+            yield horizons[pending], sums / horizons[pending], X
+            pending += 1

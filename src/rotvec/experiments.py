@@ -2,15 +2,14 @@
 
 Each experiment binds the library modules into one reproducible run: a JSON
 config (or a builtin preset) goes in, a ``Report`` with threshold checks plus
-gnuplot-ready ``.dat`` / CSV artifacts comes out. Runs are deterministic given
-(config, seed); the seed can be overridden with the ROTVEC_SEED environment
-variable.
+gnuplot-ready ``.dat`` / CSV artifacts comes out. No step draws random
+numbers, so a run is deterministic for a fixed config; a ``seed`` key is still
+accepted (it must be an integer) but feeds no computation.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, suspension
-from .dynamics import hamiltonian_field, integrate
+from .dynamics import _steps_per_unit, hamiltonian_field, integrate
 from .errors import ConfigError
 from .fields import parse_family
 from .geometry import (CohomologyClass, momentum_level_torus, one_form, torus,
@@ -55,7 +54,6 @@ def builtin_config(experiment):
     """The full default config of a builtin experiment."""
     base = {
         "experiment": experiment,
-        "seed": 0,
         "integration": {"h": 0.01, "T0": 100.0, "T_max": 10000.0, "tol": 1e-4},
     }
     if experiment == "example1-bound":
@@ -135,91 +133,131 @@ def _merge(base, override):
 
 def validate_config(config):
     """Validate and normalize a config dict; raises ConfigError with a path."""
-    if not isinstance(config, dict) or not config:
-        raise ConfigError("", "config must be a non-empty JSON object")
+    _require(isinstance(config, dict) and config, "", "config must be a non-empty JSON object")
     experiment = config.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError("/experiment", f"must be one of {', '.join(EXPERIMENTS)}")
+    _require(experiment in EXPERIMENTS, "/experiment", f"must be one of {', '.join(EXPERIMENTS)}")
     merged = _merge(builtin_config(experiment), config)
     if experiment == "custom":
         for section in ("space", "family", "form", "seeds", "thresholds"):
-            if section not in merged:
-                raise ConfigError(f"/{section}", "required for custom experiments")
+            _require(section in merged, f"/{section}", "required for custom experiments")
     for section in SECTIONS:
-        if section in merged and not isinstance(merged[section], dict):
-            raise ConfigError(f"/{section}", "must be a JSON object")
+        _require(isinstance(merged.get(section, {}), dict), f"/{section}", "must be a JSON object")
     space = merged.get("space", {})
     if space:
-        if space.get("kind") not in ("torus", "cotangent-of-torus"):
-            raise ConfigError("/space/kind", "must be torus or cotangent-of-torus")
-        if not isinstance(space.get("n"), int) or space["n"] < 1:
-            raise ConfigError("/space/n", "must be a positive integer")
+        _require(space.get("kind") in ("torus", "cotangent-of-torus"), "/space/kind",
+                 "must be torus or cotangent-of-torus")
+        _require(_is_int(space.get("n"), 1), "/space/n", "must be a positive integer")
         omega = space.get("omega", "standard")
-        if isinstance(omega, str) and omega not in ("standard", "twisted-gamma"):
-            raise ConfigError("/space/omega", "preset must be standard or twisted-gamma")
-        if isinstance(omega, str) and omega == "twisted-gamma" and space["n"] != 2:
-            raise ConfigError("/space/omega", "twisted-gamma requires n = 2")
+        if isinstance(omega, str):
+            _require(omega in ("standard", "twisted-gamma"), "/space/omega",
+                     "preset must be standard or twisted-gamma")
+            _require(omega == "standard" or space["n"] == 2, "/space/omega",
+                     "twisted-gamma requires n = 2")
     family = merged.get("family")
-    if family is not None and family.get("family") not in ("fourier", "pinned-profile"):
-        raise ConfigError("/family/family", "must be fourier or pinned-profile")
+    _require(family is None or family.get("family") in ("fourier", "pinned-profile"),
+             "/family/family", "must be fourier or pinned-profile")
     form = merged.get("form")
     if space:
         dim = 2 * space["n"]
         if family is not None and family["family"] == "fourier":
             _check_waves(family.get("coeffs"), 4, dim, "/family/coeffs")
-        if form is not None and len(form.get("class", ())) != dim:
-            raise ConfigError("/form/class", f"needs {dim} coefficients")
+        _require(form is None or len(form.get("class", ())) == dim, "/form/class",
+                 f"needs {dim} coefficients")
         if form is not None and form.get("potential"):
             _check_waves(form["potential"], 3, dim, "/form/potential")
     seeds = merged.get("seeds", {"kind": "full"})
-    if seeds.get("kind") not in ("full", "momentum"):
-        raise ConfigError("/seeds/kind", "must be full or momentum")
-    if not isinstance(seeds.get("per_dim", 32), int) or seeds.get("per_dim", 32) < 1:
-        raise ConfigError("/seeds/per_dim", "must be a positive integer")
+    _require(seeds.get("kind") in ("full", "momentum"), "/seeds/kind", "must be full or momentum")
+    _require(_is_int(seeds.get("per_dim", 32), 1), "/seeds/per_dim", "must be a positive integer")
     integ = merged.get("integration", {})
-    if integ.get("h", 1e-2) <= 0:
-        raise ConfigError("/integration/h", "step must be positive")
-    if integ.get("T0", 1.0) > integ.get("T_max", np.inf):
-        raise ConfigError("/integration/T0", "T0 exceeds T_max")
+    _require(_is_positive(integ.get("h", 1e-2)), "/integration/h", "must be a positive number")
+    _require(integ.get("T0", 1.0) <= integ.get("T_max", np.inf), "/integration/T0",
+             "T0 exceeds T_max")
     if experiment in ("example1-bound", "example1-sharpness", "custom"):
-        if integ["T0"] <= 0:
-            raise ConfigError("/integration/T0", "must be positive")
+        _require(integ["T0"] > 0, "/integration/T0", "must be positive")
         for T in doubling_horizons(integ["T0"], integ["T_max"]):
-            if abs(round(T / integ["h"]) * integ["h"] - T) > 1e-9:
-                raise ConfigError("/integration/h", f"horizon {T} is not a multiple of h")
-    if experiment == "custom":  # runs the example1-bound checks
-        for key in builtin_config("example1-bound")["thresholds"]:
-            if key not in merged["thresholds"]:
-                raise ConfigError(f"/thresholds/{key}", "required for custom experiments")
+            _require(abs(round(T / integ["h"]) * integ["h"] - T) <= 1e-9, "/integration/h",
+                     f"horizon {T} is not a multiple of h")
+    # the thresholds the experiment reads; custom runs the example1-bound checks
+    runner = "example1-bound" if experiment == "custom" else experiment
+    for key in builtin_config(runner).get("thresholds", {}):
+        value = merged["thresholds"].get(key)
+        if key == "value_range":
+            _require(isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)),
+                     "/thresholds/value_range", "must be a [low, high] pair")
+        else:
+            _require(_is_number(value), f"/thresholds/{key}", "required, a number")
+    if experiment in ("pb-upper", "chord"):
+        for name in ("X", "Xp"):
+            _check_region(merged["regions"].get(name), space["n"], f"/regions/{name}")
+    if experiment == "chord":
+        _require(_is_positive(merged["chord"].get("t_max")), "/chord/t_max",
+                 "must be a positive number")
+        _require(merged["thresholds"]["pb_floor"] > 0, "/thresholds/pb_floor", "must be positive")
+    if experiment == "example3-twisted":
+        _require(_is_number(merged["orbit"].get("p1")), "/orbit/p1", "must be a number")
+        _require(_is_positive(merged["orbit"].get("T")), "/orbit/T", "must be a positive number")
+    if experiment == "nonauto-suspension":
+        iters = merged["iterates"]
+        _require(_is_int(iters.get("n0"), 1), "/iterates/n0", "must be a positive integer")
+        _require(_is_int(iters.get("n_max"), iters["n0"]), "/iterates/n_max",
+                 "must be an integer >= n0")
+        try:
+            _steps_per_unit(integ["h"])
+        except ValueError as exc:
+            raise ConfigError("/integration/h", str(exc)) from None
     if experiment == "pb-upper":
         opt = merged["optimizer"]
-        if not _is_int(opt.get("n_modes"), 1):
-            raise ConfigError("/optimizer/n_modes", "must be a positive integer")
-        if not _is_int(opt.get("cert_grid_res"), 16):
-            raise ConfigError("/optimizer/cert_grid_res", "must be an integer >= 16")
+        _require(_is_int(opt.get("n_modes"), 1), "/optimizer/n_modes",
+                 "must be a positive integer")
+        _require(_is_int(opt.get("cert_grid_res"), 16), "/optimizer/cert_grid_res",
+                 "must be an integer >= 16")
         pins = opt.get("pins")
-        if not isinstance(pins, list) or not all(
-                isinstance(pin, list) and len(pin) == 2
-                and all(isinstance(x, (int, float)) for x in pin)
-                for pin in pins):
-            raise ConfigError("/optimizer/pins", "must be a list of [t, v] pairs")
-    if not isinstance(merged.get("seed", 0), int):
-        raise ConfigError("/seed", "seed must be an integer")
+        _require(isinstance(pins, list) and all(
+            isinstance(pin, list) and len(pin) == 2 and all(map(_is_number, pin))
+            for pin in pins), "/optimizer/pins", "must be a list of [t, v] pairs")
+    _require(isinstance(merged.get("seed", 0), int), "/seed", "seed must be an integer")
     return merged
+
+
+def _require(ok, path, message):
+    if not ok:
+        raise ConfigError(path, message)
 
 
 def _is_int(x, lo):
     return isinstance(x, int) and not isinstance(x, bool) and x >= lo
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_positive(x):
+    return _is_number(x) and x > 0
+
+
 def _check_waves(waves, arity, dim, path):
     """Every wave [c, k, ...] has ``arity`` entries and a length-``dim`` wave vector k."""
-    if not isinstance(waves, list):
-        raise ConfigError(path, "must be a list of waves")
+    _require(isinstance(waves, list), path, "must be a list of waves")
     for i, wave in enumerate(waves):
-        if not (isinstance(wave, list) and len(wave) == arity
-                and isinstance(wave[1], list) and len(wave[1]) == dim):
-            raise ConfigError(f"{path}/{i}", f"needs {arity} entries and a length-{dim} wave vector")
+        _require(isinstance(wave, list) and len(wave) == arity
+                 and isinstance(wave[1], list) and len(wave[1]) == dim,
+                 f"{path}/{i}", f"needs {arity} entries and a length-{dim} wave vector")
+
+
+def _check_region(spec, n, path):
+    """A region is ``constraints`` [[index, value], ...] or ``levels`` of the n momenta."""
+    _require(isinstance(spec, dict), path, "must be a JSON object")
+    if "constraints" in spec:
+        _require(isinstance(spec["constraints"], list) and all(
+            isinstance(c, list) and len(c) == 2 and _is_int(c[0], 0) and c[0] < 2 * n
+            and _is_number(c[1]) for c in spec["constraints"]),
+            f"{path}/constraints", f"must be [index < {2 * n}, value] pairs")
+    else:
+        levels = spec.get("levels")
+        _require(isinstance(levels, list) and len(levels) == n and all(map(_is_number, levels)),
+                 f"{path}/levels", f"must be a list of {n} numbers")
+    _require(_is_int(spec.get("per_dim", 32), 1), f"{path}/per_dim", "must be a positive integer")
 
 
 def _build_space(cfg):
@@ -272,7 +310,6 @@ class Report:
 
     experiment: str
     config: dict
-    seed: int
     results: dict
     passed: bool
     notes: list = dc_field(default_factory=list)
@@ -283,7 +320,6 @@ class Report:
         doc = {
             "experiment": self.experiment,
             "config": self.config,
-            "seed": self.seed,
             "results": self.results,
             "passed": self.passed,
             "notes": self.notes,
@@ -590,11 +626,8 @@ def _run_nonauto(cfg, out):
 
 def _double_route_value(mu, F, alpha, space, h):
     """The (x, t) double-integral route, exposed for report symmetry."""
-    from .suspension import _double_route
-    m = round(1.0 / h)
-    fine = mu.source.lifts
-    arcs = np.stack([fine[k * m:(k + 1) * m + 1] for k in range(mu.n_samples)], axis=1)
-    return _double_route(arcs, mu.weights, F, alpha, space, h)
+    from .suspension import _double_route, _unit_arcs
+    return _double_route(_unit_arcs(mu, F, h), mu.weights, F, alpha, space, h)
 
 
 def _global_range(F, space, grid_res=512):
@@ -630,12 +663,9 @@ def run(config, out_dir=None) -> Report:
     """Validate, run and report one experiment.
 
     ``out_dir`` receives report.json and the experiment's data artifacts; when
-    None, nothing is written. The ROTVEC_SEED environment variable overrides
-    the config seed.
+    None, nothing is written.
     """
     cfg = validate_config(config)
-    seed = int(os.environ.get("ROTVEC_SEED", cfg.get("seed", 0)))
-    cfg["seed"] = seed
     out = None
     if out_dir is not None:
         out = Path(out_dir)
@@ -648,7 +678,6 @@ def run(config, out_dir=None) -> Report:
     report = Report(
         experiment=cfg["experiment"],
         config=_json_safe(cfg),
-        seed=seed,
         results=_json_safe(results),
         passed=bool(passed),
         notes=notes,

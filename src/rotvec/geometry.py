@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidPoint
-from .trig import TrigPoly
+from .trig import TrigPoly, lattice_indices
 
 #: Default irrational shear for the twisted 4-torus form: a quadratic
 #: irrational, so orbit averages converge at the O(1/T) Diophantine rate.
@@ -311,23 +311,17 @@ class RegionSpec:
 
 
 def _free_dim_grid(space, pinned, per_dim):
-    """Cartesian sample grid over the free coordinates, pinned ones fixed."""
+    """Cartesian sample grid over the free coordinates, pinned ones fixed.
+
+    Periodic free axes take k/per_dim, the others linspace(-1, 1, per_dim).
+    """
     free = [i for i in range(space.dim) if i not in pinned]
-    axes = []
-    for i in free:
-        if space.periodic[i]:
-            axes.append(np.arange(per_dim) / per_dim)
-        else:
-            axes.append(np.linspace(-1.0, 1.0, per_dim))
-    base = np.zeros(space.dim)
+    grid = np.zeros((per_dim ** len(free), space.dim))
     for idx, value in pinned.items():
-        base[idx] = value
-    if not free:
-        return base[None, :]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.tile(base, (mesh[0].size, 1))
-    for axis, i in enumerate(free):
-        grid[:, i] = mesh[axis].ravel()
+        grid[:, idx] = value
+    line = np.linspace(-1.0, 1.0, per_dim)
+    for i, k in zip(free, lattice_indices(len(free), per_dim).T):
+        grid[:, i] = k / per_dim if space.periodic[i] else line[k]
     return grid
 
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import (Trajectory, VectorFieldSpec, birkhoff_accumulate,
-                       birkhoff_stream, hamiltonian_field, integrate)
+from .dynamics import (Trajectory, VectorFieldSpec, birkhoff_stream,
+                       hamiltonian_field, integrate)
 from .errors import DimensionError, EmptyTrajectory
 from .fields import HamiltonianSpec
 from .geometry import (ClosedOneForm, PhaseSpace, RotationVector, wrap,
                        wrap_batch)
+from .trig import lattice_indices
 
 
 @dataclass
@@ -150,6 +151,22 @@ class ConvergenceReport:
     best_seed_index: int
     per_seed_values: np.ndarray | None = None
 
+    @classmethod
+    def from_search(cls, values, tol):
+        """Consume (T, per-seed values) per doubling horizon until the best value
+        moves by at most ``tol``; the first maximum is the best seed."""
+        best_values, diffs, ran = [], [], []
+        for T, vals in values:
+            ran.append(T)
+            best_values.append(float(vals.max()))
+            if len(best_values) > 1:
+                diffs.append(abs(best_values[-1] - best_values[-2]))
+                if diffs[-1] <= tol:
+                    break
+        return cls(horizons=ran, best_values=best_values, diffs=diffs,
+                   converged=bool(diffs) and diffs[-1] <= tol, tolerance=tol,
+                   best_seed_index=int(np.argmax(vals)), per_seed_values=vals)
+
     def to_json(self):
         return {
             "best_seed": self.best_seed_index,
@@ -166,23 +183,20 @@ class ConvergenceReport:
 
 def momentum_seed_grid(space, per_dim=32, positions_at=0.0):
     """Seeds over the momentum torus only, positions pinned (integrable families)."""
-    axes = [np.arange(per_dim) / per_dim for _ in range(space.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.full((mesh[0].size, space.dim), float(positions_at))
-    for i in range(space.n):
-        grid[:, i] = mesh[i].ravel()
+    grid = np.full((per_dim ** space.n, space.dim), float(positions_at))
+    grid[:, :space.n] = lattice_indices(space.n, per_dim) / per_dim
     return grid
 
 
 def full_seed_grid(space, per_dim=32):
     """Seeds over every phase-space dimension (non-integrable families)."""
-    axes = [np.arange(per_dim) / per_dim for _ in range(space.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return lattice_indices(space.dim, per_dim) / per_dim
 
 
 def doubling_horizons(T0, T_max):
     """T0, 2 T0, 4 T0, ... capped at T_max: the horizons of a doubling search."""
+    if T0 <= 0:
+        raise ValueError(f"the first horizon must be positive, got {T0}")
     horizons = [T0]
     while horizons[-1] < T_max - 1e-9:
         horizons.append(min(2.0 * horizons[-1], T_max))
@@ -217,26 +231,9 @@ def extremal_orbit_search(F, alpha, space, seeds, T0=100.0, T_max=1e5, h=1e-2,
         def integrand(X, V, t):
             return np.einsum("ij,ij->i", cls + pot.grad(X), V)
 
-    best_values, diffs = [], []
-    converged = False
-    ran = []
-    final_vals = None
-    for T, avg, _ in birkhoff_stream(field, seeds, horizons, h, [integrand]):
-        final_vals = np.abs(avg[0])
-        ran.append(T)
-        best_values.append(float(final_vals.max()))
-        if len(best_values) > 1:
-            diffs.append(abs(best_values[-1] - best_values[-2]))
-            if diffs[-1] <= tol:
-                converged = True
-                break
-    best_idx = int(np.argmax(final_vals))  # argmax takes the first maximum
-    report = ConvergenceReport(
-        horizons=ran, best_values=best_values, diffs=diffs,
-        converged=converged, tolerance=tol, best_seed_index=best_idx,
-        per_seed_values=final_vals.copy(),
-    )
-    return wrap(seeds[best_idx], space), best_values[-1], report
+    stream = birkhoff_stream(field, seeds, horizons, h, [integrand])
+    report = ConvergenceReport.from_search(((T, np.abs(avg[0])) for T, avg, _ in stream), tol)
+    return wrap(seeds[report.best_seed_index], space), report.best_values[-1], report
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +260,8 @@ def invariance_defect(mu: EmpiricalMeasure, field: VectorFieldSpec, s, H) -> flo
         shifted_lifts = np.concatenate([traj.lifts[m:], ext.lifts[1:]], axis=0)
     else:
         h_sub = s / int(np.ceil(s / 1e-2))
-        _, states = birkhoff_accumulate(field, mu.lifts, [s], h_sub, [])
-        shifted_lifts = states[0]
+        # the end states only: memory stays at one batch, not one per node
+        _, _, shifted_lifts = next(birkhoff_stream(field, mu.lifts, [s], h_sub, []))
     shifted = float(mu.weights @ np.asarray(evalH(shifted_lifts)))
     return abs(shifted - base)
 

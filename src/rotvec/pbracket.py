@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import birkhoff_stream, hamiltonian_field, locally_hamiltonian_field, midpoint_step
+from .dynamics import (_nodes, birkhoff_stream, hamiltonian_field, locally_hamiltonian_field,
+                       midpoint_step)
 from .errors import InfeasibleFamily, InternalInconsistency
 from .fields import HamiltonianSpec, _profile_basis, make_pinned_profile
 from .geometry import (ClosedOneForm, CohomologyClass, PhasePoint, PhaseSpace,
@@ -259,13 +260,14 @@ def chord_search(alpha: ClosedOneForm, space: PhaseSpace, X: RegionSpec,
                  Xp: RegionSpec, t_max=10.0, h=1e-2, landing_tol=1e-6):
     """Earliest chord of the locally Hamiltonian flow of alpha from X to X'.
 
-    Every grid point of X is flowed under sgrad alpha; within each step the
-    lift of the transversal coordinate (the pinned coordinate on which X and
-    X' genuinely differ) is monitored for crossings of X''s level, and each
-    crossing time is bisected to 1e-9. A crossing counts only if the full
-    membership defect at the landing point is below ``landing_tol``. Ties in
-    arrival time go to the lowest seed index. Returns None when no seed
-    arrives before ``t_max``.
+    Every grid point of X is flowed under sgrad alpha, all in one batch;
+    after each step the rows whose lift of the transversal coordinate (the
+    pinned coordinate on which X and X' genuinely differ) crossed a level of
+    X' are bisected one by one to 1e-10 in time. A crossing counts only if
+    the full membership defect at the landing point is below
+    ``landing_tol``. The search stops at the first step with a counted
+    crossing; ties in arrival time go to the lowest seed index. Returns None
+    when no seed arrives before ``t_max``.
     """
     if Xp.kind == "predicate":
         raise ValueError("chord search needs a level-type target region")
@@ -277,33 +279,41 @@ def chord_search(alpha: ClosedOneForm, space: PhaseSpace, X: RegionSpec,
         if i in here and abs(circular_residual(here[i], v)) > 1e-9
     ] or list(targets)
 
-    best = None
-    n_steps = int(np.ceil(t_max / h - 1e-12))
-    for seed_idx, x0 in enumerate(X.grid):
-        X_state = x0[None, :].astype(float)
-        t = 0.0
-        for _ in range(n_steps):
+    t = X_state = None
+    for t_next, X_next, _ in _nodes(field, X.grid, t_max, h):
+        if X_state is not None:
             step_h = min(h, t_max - t)
-            X_next, _ = midpoint_step(field.velocity, X_state, t, step_h)
-            hit = _first_crossing(field, X_state, t, step_h, X_next,
-                                  crossing_coords, targets, Xp, space, landing_tol)
-            if hit is not None:
-                t_cross, x_cross = hit
-                if best is None or t_cross < best[0] - 1e-15:
-                    best = (t_cross, x0, x_cross)
-                break
-            X_state = X_next
-            t += step_h
-            if best is not None and t >= best[0]:
-                break  # later seeds can only improve on earlier arrival
-    if best is None:
-        return None
-    t_star, x0, x_end = best
-    return Chord(start=wrap(x0, space), end=wrap(x_end, space), t_star=float(t_star))
+            best = None
+            for row in np.flatnonzero(_crossed(X_state, X_next, crossing_coords, targets, space)):
+                hit = _first_crossing(field, X_state[row:row + 1], t, step_h,
+                                      X_next[row:row + 1], crossing_coords, targets, Xp,
+                                      space, landing_tol)
+                if hit is not None and (best is None or hit[0] < best[0] - 1e-15):
+                    best = (hit[0], X.grid[row], hit[1])
+            if best is not None:
+                t_star, x0, x_end = best
+                return Chord(start=wrap(x0, space), end=wrap(x_end, space),
+                             t_star=float(t_star))
+        t, X_state = t_next, X_next
+    return None
+
+
+def _crossed(X_state, X_next, coords, targets, space):
+    """Rows whose lift of a coordinate in ``coords`` passed a target level (1e-15 slack)."""
+    rows = np.zeros(len(X_state), dtype=bool)
+    for i in coords:
+        a, b = X_state[:, i], X_next[:, i]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        if space.periodic[i]:  # every integer shift of the level lies on the region
+            crossed = np.floor(hi - targets[i] + 1e-15) >= np.ceil(lo - targets[i] - 1e-15)
+        else:
+            crossed = (lo - 1e-15 <= targets[i]) & (targets[i] <= hi + 1e-15)
+        rows |= crossed & (a != b)
+    return rows
 
 
 def _first_crossing(field, X_state, t, h, X_next, coords, targets, Xp, space, landing_tol):
-    """Earliest admissible level crossing inside one step, bisected to 1e-9."""
+    """Earliest admissible level crossing inside one step, bisected to 1e-10."""
     candidates = []
     for i in coords:
         a, b = X_state[0, i], X_next[0, i]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Trajectory, VectorFieldSpec, birkhoff_stream,
+from .dynamics import (Trajectory, VectorFieldSpec, _steps_per_unit, birkhoff_stream,
                        hamiltonian_field, integrate)
 from .errors import QuadratureWarning
 from .fields import HamiltonianSpec
@@ -148,14 +148,10 @@ def stab(X: RegionSpec, nspace: PhaseSpace) -> RegionSpec:
 def shift_equivariance_check(H: SuspendedHamiltonian, z0, c, T, h) -> float:
     """Distance between h_T(S_c z0) and S_c(h_T z0) for the r-shift S_c."""
     z0 = np.asarray(getattr(z0, "lift", z0), dtype=float)
-    shifted = z0.copy()
-    shifted[H.base_space.n] += c
-    field = suspended_field(H)
-    end_a = integrate(field, shifted, T, h).lifts[-1]
-    end_b = integrate(field, z0, T, h).lifts[-1]
-    end_b = end_b.copy()
-    end_b[H.base_space.n] += c
-    return float(np.linalg.norm(end_a - end_b))
+    shift = np.zeros_like(z0)
+    shift[H.base_space.n] = c
+    end_a, end_b = integrate(suspended_field(H), np.stack([z0 + shift, z0]), T, h).lifts[-1]
+    return float(np.linalg.norm(end_a - (end_b + shift)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +189,8 @@ class TimeOneOrbit:
 
 def time_one_orbit(F: HamiltonianSpec, space: PhaseSpace, x0, n_units, h=1e-2) -> TimeOneOrbit:
     """Iterate the time-one map by integrating the non-autonomous flow of F."""
-    m = round(1.0 / h)
-    if abs(m * h - 1.0) > 1e-12:
-        raise ValueError(f"h = {h} does not divide the unit period")
-    field = hamiltonian_field(F, space)
-    traj = integrate(field, x0, float(n_units), h)
+    m = _steps_per_unit(h)
+    traj = integrate(hamiltonian_field(F, space), x0, float(n_units), h)
     return TimeOneOrbit(traj, n_units, m)
 
 
@@ -224,42 +217,31 @@ def rotation_pairing_time_one(mu: EmpiricalMeasure, F: HamiltonianSpec,
     Their difference is pure quadrature error; beyond ``agreement_tol`` a
     QuadratureWarning is issued. The loop-integral value is returned.
     """
-    space = mu.space
-    traj = mu.source
-    m = round(1.0 / h)
-    if (traj is not None and abs(traj.h * m - 1.0) < 1e-12
-            and (len(traj) - 1) % m == 0
-            and len(traj.lifts) - 1 >= mu.n_samples * m):
-        fine = traj.lifts
-    else:
-        # integrate one unit arc from every sample, batched
-        field = hamiltonian_field(F, space)
-        nodes = [np.array(mu.lifts, dtype=float)]
-        X = nodes[0]
-        t = 0.0
-        from .dynamics import midpoint_step
-        for k in range(m):
-            X, _ = midpoint_step(field.velocity, X, t, h)
-            t = (k + 1) * h
-            nodes.append(X)
-        return _pairing_from_arcs(np.stack(nodes), mu.weights, F, alpha, space, h,
-                                  agreement_tol)
-    # reshape the long trajectory into per-sample unit arcs: arc k spans
-    # nodes [k*m, (k+1)*m]
-    n = mu.n_samples
-    arcs = np.stack([fine[k * m:(k + 1) * m + 1] for k in range(n)], axis=1)
-    return _pairing_from_arcs(arcs, mu.weights, F, alpha, space, h, agreement_tol)
-
-
-def _pairing_from_arcs(arcs, weights, F, alpha, space, h, agreement_tol):
-    """arcs: (m+1, B, dim) unit arcs; returns the loop-route pairing."""
-    loop_route = float(weights @ loop_integral(alpha, arcs[0], arcs[-1]))
-    double_route = _double_route(arcs, weights, F, alpha, space, h)
+    arcs = _unit_arcs(mu, F, h)
+    loop_route = float(mu.weights @ loop_integral(alpha, arcs[0], arcs[-1]))
+    double_route = _double_route(arcs, mu.weights, F, alpha, mu.space, h)
     if abs(double_route - loop_route) > agreement_tol:
         warnings.warn(
             f"rotation-pairing formulas disagree: loop {loop_route}, "
             f"double integral {double_route}", QuadratureWarning)
     return loop_route
+
+
+def _unit_arcs(mu, F, h):
+    """The (m+1, n_samples, dim) unit arcs gamma_x of mu's samples, h = 1/m.
+
+    Read off mu's stored orbit when its samples are that orbit's unit-time
+    iterates; otherwise one unit arc is integrated from every sample, batched.
+    """
+    m = _steps_per_unit(h)
+    traj = mu.source
+    if (traj is not None and abs(traj.h * m - 1.0) < 1e-12
+            and (len(traj) - 1) % m == 0
+            and len(traj.lifts) - 1 >= mu.n_samples * m):
+        # arc k spans nodes [k*m, (k+1)*m]
+        return np.stack([traj.lifts[k * m:(k + 1) * m + 1] for k in range(mu.n_samples)],
+                        axis=1)
+    return integrate(hamiltonian_field(F, mu.space), mu.lifts, 1.0, h).lifts
 
 
 def _double_route(arcs, weights, F, alpha, space, h):
@@ -296,31 +278,14 @@ def map_orbit_search(F: HamiltonianSpec, alpha: ClosedOneForm, space: PhaseSpace
     Returns (best seed PhasePoint, best value, ConvergenceReport).
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, space.dim)
-    m = round(1.0 / h)
-    if abs(m * h - 1.0) > 1e-12:
-        raise ValueError(f"h = {h} does not divide the unit period")
+    _steps_per_unit(h)
     field = hamiltonian_field(F, space)
     horizons = doubling_horizons(float(n0), float(n_max))
 
-    best_values, diffs, ran = [], [], []
-    converged = False
-    final_vals = None
-    for T, _, states in birkhoff_stream(field, seeds, horizons, h, []):
-        vals = loop_integral(alpha, seeds, states) / T
-        final_vals = np.abs(vals)
-        ran.append(T)
-        best_values.append(float(final_vals.max()))
-        if len(best_values) > 1:
-            diffs.append(abs(best_values[-1] - best_values[-2]))
-            if diffs[-1] <= tol:
-                converged = True
-                break
-    best_idx = int(np.argmax(final_vals))
-    report = ConvergenceReport(
-        horizons=ran, best_values=best_values, diffs=diffs, converged=converged,
-        tolerance=tol, best_seed_index=best_idx, per_seed_values=final_vals.copy(),
-    )
-    return wrap(seeds[best_idx], space), best_values[-1], report
+    stream = birkhoff_stream(field, seeds, horizons, h, [])
+    report = ConvergenceReport.from_search(
+        ((T, np.abs(loop_integral(alpha, seeds, states) / T)) for T, _, states in stream), tol)
+    return wrap(seeds[report.best_seed_index], space), report.best_values[-1], report
 
 
 # ---------------------------------------------------------------------------
@@ -359,24 +324,14 @@ def step7_correspondence_check(sigma: CylinderMeasure, mu: EmpiricalMeasure,
     mu-sample through one period (rectangle rule in s, exact for band-limited
     1-periodic integrands on a uniform grid).
     """
-    space = mu.space
-    field = hamiltonian_field(F, space)
-    m = round(1.0 / h)
-    from .dynamics import midpoint_step
-    X = np.array(mu.lifts, dtype=float)
-    nodes = [X]
-    t = 0.0
-    for k in range(m):
-        X, _ = midpoint_step(field.velocity, X, t, h)
-        t = (k + 1) * h
-        nodes.append(X)
+    m = _steps_per_unit(h)
+    nodes = integrate(hamiltonian_field(F, mu.space), mu.lifts, 1.0, h).lifts
     worst = 0.0
-    s_grid = np.arange(m) * h
     for G in observables:
         lhs = sigma.integrate(G)
         rhs = 0.0
         for k in range(m):
-            rhs += float(mu.weights @ np.asarray(G(nodes[k], np.full(len(X), s_grid[k]))))
+            rhs += float(mu.weights @ np.asarray(G(nodes[k], np.full(mu.n_samples, k * h))))
         rhs /= m
         worst = max(worst, abs(lhs - rhs))
     return worst

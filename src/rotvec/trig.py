@@ -177,7 +177,7 @@ class TrigPoly:
         """f on the uniform grid of grid_res points per axis of (x, t) it depends on."""
         active = self.active_dims()
         n = len(active) + self.is_time_dependent
-        grid = np.indices((grid_res,) * n).reshape(n, grid_res ** n).T / grid_res
+        grid = lattice_indices(n, grid_res) / grid_res
         X = np.zeros((len(grid), self.dim))
         X[:, active] = grid[:, :len(active)]
         return self.eval(X, grid[:, -1] if self.is_time_dependent else 0.0)
@@ -209,6 +209,12 @@ class TrigPoly:
 
     def __repr__(self):
         return f"TrigPoly(dim={self.dim}, terms={self.n_terms})"
+
+
+def lattice_indices(n_axes, per_axis):
+    """{0..per_axis-1}^n_axes as (per_axis**n_axes, n_axes) rows in C order (last axis
+    fastest): every sample grid's row order, and so every seed index, comes from here."""
+    return np.indices((per_axis,) * n_axes).reshape(n_axes, per_axis ** n_axes).T
 
 
 def _canonicalize(coeffs, kvecs, tfreq, is_sin):

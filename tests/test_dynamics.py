@@ -264,3 +264,48 @@ def test_velocity_hooks(monkeypatch):
         monkeypatch.setattr(TrigPoly, name, public_call)
     assert np.array_equal(field.velocity(X, 0.0), expected)
     assert np.array_equal(chord.velocity(X, 0.0), np.tile([0.5, 0.0], (4, 1)))
+
+
+# ---------------------------------------------------------------------------
+# batched integration: every row is the single-orbit run of its seed
+# ---------------------------------------------------------------------------
+
+TWISTED = rv.torus(2, rv.twisted_structure())
+F4 = [(0.5, [0] * 4, 0, "cos"), (-0.5, [1, 0, 0, 0], 0, "cos")]
+BATCH_CASES = [  # (space, waves, momentum-only)
+    (rv.torus(1), SIN2, True),
+    (TWISTED, F4, True),
+    (rv.torus(1), SIN2 + [(0.1, [1, 1], 0, "sin")], False),
+    (rv.torus(1), SIN2 + [(0.1, [1, 0], -1, "cos"), (0.05, [1, 1], 1, "sin")], False),
+    (TWISTED, F4 + [(0.05, [0, 1, 1, -1], 0, "cos")], False),
+]
+
+
+@pytest.mark.parametrize("method", ["midpoint", "rk4"])
+@pytest.mark.parametrize("space, waves, momentum_only", BATCH_CASES)
+def test_batched_integrate_rows_match_single_runs(space, waves, momentum_only, method):
+    F = rv.fourier_hamiltonian(space.dim, waves)
+    field = rv.hamiltonian_field(F, space)
+    seeds = np.random.default_rng(5).random((5, space.dim))
+    T = 3.005  # 300 full steps and a last, shorter one
+    batch = rv.integrate(field, seeds, T, 1e-2, method=method)
+    assert batch.lifts.shape == (len(batch.times), 5, space.dim)
+    for b, seed in enumerate(seeds):
+        single = rv.integrate(field, seed, T, 1e-2, method=method)
+        assert np.array_equal(batch.times, single.times)
+        if momentum_only:
+            assert np.array_equal(batch.lifts[:, b], single.lifts)
+        else:
+            # the fixed-point stop is the max over the batch, so a row may take
+            # one sweep more than alone, and the evaluator's sums may round
+            # differently at another batch size
+            assert np.abs(batch.lifts[:, b] - single.lifts).max() <= 1e-10
+        if F.autonomous:
+            assert np.abs(batch.energies[:, b] - single.energies).max() <= 1e-10
+
+
+def test_integrate_node_times_are_multiples_of_h():
+    field = rv.locally_hamiltonian_field(rv.one_form([0.0, 1.0]), rv.torus(1))
+    traj = rv.integrate(field, [0.0, 0.0], 0.105, 1e-2)
+    assert np.array_equal(traj.times[:-1], np.arange(11) * 1e-2)
+    assert traj.times[-1] == 0.105

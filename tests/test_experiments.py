@@ -73,6 +73,40 @@ def test_validate_horizons_multiple_of_h():
                         "integration": {"h": 1.0 / 200.5, "T0": 1.0, "T_max": 1.0}})
 
 
+RAW_ERROR_PROBES = [  # configs that used to validate and then fail with a raw error or hang
+    ({"experiment": "chord", "regions": {"X": 3}}, "/regions/X"),
+    ({"experiment": "chord", "regions": {"X": {"levels": "ab"}}}, "/regions/X/levels"),
+    ({"experiment": "pb-upper", "regions": {"Xp": {"levels": [0.5, 0.0]}}}, "/regions/Xp/levels"),
+    ({"experiment": "chord", "regions": {"X": {"constraints": [[2, 0.0]]}}},
+     "/regions/X/constraints"),
+    ({"experiment": "pb-upper", "thresholds": {"value_range": 1}}, "/thresholds/value_range"),
+    ({"experiment": "chord", "thresholds": {"t_star_tol": "x"}}, "/thresholds/t_star_tol"),
+    ({"experiment": "chord", "chord": {"t_max": "x"}}, "/chord/t_max"),
+    ({"experiment": "chord", "thresholds": {"pb_floor": 0}}, "/thresholds/pb_floor"),
+    ({"experiment": "example3-twisted", "orbit": {"p1": "a"}}, "/orbit/p1"),
+    ({"experiment": "example3-twisted", "orbit": {"T": 0.0}}, "/orbit/T"),
+    ({"experiment": "example3-twisted", "orbit": {"T": -5.0}}, "/orbit/T"),
+    ({"experiment": "nonauto-suspension", "iterates": {"n0": 0}}, "/iterates/n0"),
+    ({"experiment": "nonauto-suspension", "iterates": {"n0": 2.5}}, "/iterates/n0"),
+    ({"experiment": "nonauto-suspension", "iterates": {"n0": 100, "n_max": 50}},
+     "/iterates/n_max"),
+    ({"experiment": "nonauto-suspension", "integration": {"h": 0.3}}, "/integration/h"),
+]
+
+
+@pytest.mark.parametrize("config, path", RAW_ERROR_PROBES,
+                         ids=[path for _, path in RAW_ERROR_PROBES])
+def test_validate_rejects_run_time_failures(config, path):
+    assert _config_error_path(config) == path
+
+
+def test_doubling_horizons_need_a_positive_start():
+    # a zero start used to append zeros until memory ran out
+    for T0 in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            rv.measures.doubling_horizons(T0, 10.0)
+
+
 def test_validate_form_class_length():
     config = {"experiment": "example1-bound", "form": {"class": [0.0, 0.5, 1.0]}}
     assert _config_error_path(config) == "/form/class"
@@ -143,16 +177,11 @@ def test_run_determinism(tmp_path):
     da, db = a.to_json(), b.to_json()
     da.pop("timing")
     db.pop("timing")
+    assert "seed" not in da  # no step draws random numbers
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
     ta = (tmp_path / "a" / "pairing_vs_T.dat").read_bytes()
     tb = (tmp_path / "b" / "pairing_vs_T.dat").read_bytes()
     assert ta == tb
-
-
-def test_seed_env_override(monkeypatch):
-    monkeypatch.setenv("ROTVEC_SEED", "1234")
-    report = rv.run(FAST_BOUND)
-    assert report.seed == 1234
 
 
 def test_run_chord_experiment(tmp_path):

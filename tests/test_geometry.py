@@ -155,3 +155,72 @@ def test_twisted_structure_matrix():
     ])
     assert np.allclose(omega.matrix, expected)
     assert np.allclose(omega.matrix @ omega.inverse, np.eye(4), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sample grids against the meshgrid builders they replaced
+# ---------------------------------------------------------------------------
+
+def old_seed_grid(space, per_dim, momentum_only=False, positions_at=0.0):
+    """The earlier full_seed_grid / momentum_seed_grid (meshgrid, ij indexing)."""
+    n_axes = space.n if momentum_only else space.dim
+    mesh = np.meshgrid(*[np.arange(per_dim) / per_dim for _ in range(n_axes)], indexing="ij")
+    if not momentum_only:
+        return np.stack([m.ravel() for m in mesh], axis=1)
+    grid = np.full((mesh[0].size, space.dim), float(positions_at))
+    for i in range(space.n):
+        grid[:, i] = mesh[i].ravel()
+    return grid
+
+
+def old_free_dim_grid(space, pinned, per_dim):
+    """The earlier geometry._free_dim_grid."""
+    free = [i for i in range(space.dim) if i not in pinned]
+    axes = [np.arange(per_dim) / per_dim if space.periodic[i]
+            else np.linspace(-1.0, 1.0, per_dim) for i in free]
+    base = np.zeros(space.dim)
+    for idx, value in pinned.items():
+        base[idx] = value
+    if not free:
+        return base[None, :]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.tile(base, (mesh[0].size, 1))
+    for axis, i in enumerate(free):
+        grid[:, i] = mesh[axis].ravel()
+    return grid
+
+
+GRID_SPACES = [rv.torus(1), rv.torus(2), rv.torus(2, rv.twisted_structure()),
+               rv.cotangent_of_torus(1), rv.cotangent_of_torus(2)]
+
+
+@pytest.mark.parametrize("space", GRID_SPACES, ids=lambda sp: f"{sp.kind}-{sp.n}")
+@pytest.mark.parametrize("per_dim", [1, 3, 8, 32])
+def test_sample_grids_match_meshgrid_builders(space, per_dim):
+    # bit-identical points in the same row order: seed indices and the
+    # lowest-index argmax tie rule depend on it
+    full = rv.full_seed_grid(space, per_dim)
+    assert np.array_equal(full, old_seed_grid(space, per_dim))
+    momentum = rv.momentum_seed_grid(space, per_dim, positions_at=0.3)
+    assert np.array_equal(momentum, old_seed_grid(space, per_dim, True, 0.3))
+
+    levels = np.linspace(0.1, 0.7, space.n)
+    region = rv.momentum_level_torus(space, levels, per_dim=per_dim)
+    pinned = {i: levels[i] for i in range(space.n)}
+    assert np.array_equal(region.grid, old_free_dim_grid(space, pinned, per_dim))
+    for constraints in ([(0, 0.25)], [(space.dim - 1, 0.5)],
+                        [(i, 0.125 * i) for i in range(space.dim)]):
+        region = rv.product_of_levels(space, constraints, per_dim=per_dim)
+        assert np.array_equal(region.grid, old_free_dim_grid(space, dict(constraints), per_dim))
+
+
+@pytest.mark.parametrize("grid_res", [1, 4, 17])
+def test_grid_values_on_the_indices_lattice(grid_res):
+    poly = (TrigPoly.wave(3, 0.7, [1, 0, 2], 1, "sin") + TrigPoly.wave(3, -0.2, [0, 0, 1], 0)
+            + TrigPoly.constant(3, 0.5))
+    n = 3  # active x-axes 0 and 2, plus time
+    grid = np.indices((grid_res,) * n).reshape(n, grid_res ** n).T / grid_res
+    X = np.zeros((len(grid), 3))
+    X[:, [0, 2]] = grid[:, :2]
+    assert np.array_equal(poly.grid_values(grid_res), poly.eval(X, grid[:, -1]))
+    assert np.array_equal(TrigPoly.constant(2, 1.5).grid_values(grid_res), [1.5])

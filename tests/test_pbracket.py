@@ -384,3 +384,116 @@ def test_chord_time_bounded_by_floor():
     chord = rv.chord_search(rv.ClosedOneForm(prob.a), sp, prob.X, prob.Xp,
                             t_max=2.0, h=1e-2)
     assert chord.t_star <= 1.0 / prob.floor + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# chord search against the per-seed loop it replaced
+# ---------------------------------------------------------------------------
+
+def per_seed_chord_oracle(alpha, space, X, Xp, t_max, h, landing_tol=1e-6):
+    """The earlier chord search: every seed stepped on its own at batch 1.
+
+    Returns (start seed lift, t_star, end lift) or None.
+    """
+    from rotvec.geometry import circular_residual
+    field = rv.locally_hamiltonian_field(alpha, space)
+    targets = dict(Xp.constraints)
+    here = dict(X.constraints)
+    coords = [i for i, v in targets.items()
+              if i in here and abs(circular_residual(here[i], v)) > 1e-9] or list(targets)
+
+    def first_crossing(X_state, t, step_h, X_next):
+        candidates = []
+        for i in coords:
+            a, b = X_state[0, i], X_next[0, i]
+            lo, hi = (a, b) if a <= b else (b, a)
+            if space.periodic[i]:
+                n0 = int(np.ceil(lo - targets[i] - 1e-15))
+                n1 = int(np.floor(hi - targets[i] + 1e-15))
+                levels = [targets[i] + n for n in range(n0, n1 + 1)]
+            else:
+                levels = [targets[i]]
+            for level in levels:
+                if lo - 1e-15 <= level <= hi + 1e-15 and abs(b - a) > 0:
+                    if -1e-12 <= (level - a) / (b - a) <= 1.0 + 1e-12:
+                        candidates.append((i, level, a))
+        best_hit = None
+        for i, level, a in candidates:
+            lo_t, hi_t = 0.0, step_h
+            sign0 = np.sign(a - level) or 1.0
+            for _ in range(80):
+                if hi_t - lo_t <= 1e-10:
+                    break
+                mid = 0.5 * (lo_t + hi_t)
+                Y, _ = rv.dynamics.midpoint_step(field.velocity, X_state, t, mid)
+                if np.sign(Y[0, i] - level) == sign0:
+                    lo_t = mid
+                else:
+                    hi_t = mid
+            t_hit = 0.5 * (lo_t + hi_t)
+            Y, _ = rv.dynamics.midpoint_step(field.velocity, X_state, t, t_hit)
+            if Xp.defect(Y)[0] <= landing_tol and (best_hit is None or t_hit < best_hit[0]):
+                best_hit = (t_hit, Y[0].copy())
+        return None if best_hit is None else (t + best_hit[0], best_hit[1])
+
+    best = None
+    n_steps = int(np.ceil(t_max / h - 1e-12))
+    for x0 in X.grid:
+        X_state = x0[None, :].astype(float)
+        t = 0.0
+        for _ in range(n_steps):
+            step_h = min(h, t_max - t)
+            X_next, _ = rv.dynamics.midpoint_step(field.velocity, X_state, t, step_h)
+            hit = first_crossing(X_state, t, step_h, X_next)
+            if hit is not None:
+                if best is None or hit[0] < best[0] - 1e-15:
+                    best = (hit[0], x0, hit[1])
+                break
+            X_state = X_next
+            t += step_h
+            if best is not None and t >= best[0]:
+                break
+    return None if best is None else (best[1], best[0], best[2])
+
+
+def _chord_case(name):
+    sp = rv.torus(1)
+    X, Xp = rv.momentum_level_torus(sp, [0.0]), rv.momentum_level_torus(sp, [0.5])
+    if name == "builtin":
+        return rv.one_form([0.0, 0.5]), sp, X, Xp, 2.0, 1e-2
+    if name == "doubled":
+        return rv.one_form([0.0, 1.0]), sp, X, Xp, 2.0, 1e-2
+    if name == "potential":
+        g = TrigPoly.wave(2, 0.02, [0, 1], 0, "sin")
+        return rv.ClosedOneForm(rv.CohomologyClass([0.0, 0.5]), g), sp, X, Xp, 4.0, 1e-2
+    if name == "cotangent":
+        ct = rv.cotangent_of_torus(1)
+        return (rv.one_form([0.0, 0.3]), ct, rv.momentum_level_torus(ct, [0.0]),
+                rv.momentum_level_torus(ct, [0.3]), 2.0, 1e-2)
+    if name == "mid-step":  # a shifted pair landing mid-step, as the benchmark's chords do
+        c, level = 0.61, 0.137
+        h = 0.5 / c / 200.5
+        return (rv.one_form([0.0, c]), sp, rv.momentum_level_torus(sp, [level]),
+                rv.momentum_level_torus(sp, [level + 0.5]), 300 * h, h)
+    if name == "short-t_max":
+        return rv.one_form([0.0, 0.5]), sp, X, Xp, 0.5, 1e-2
+    assert name == "orthogonal"
+    return rv.one_form([1.0, 0.0]), sp, X, Xp, 10.0, 1e-2
+
+
+@pytest.mark.parametrize("name", ["builtin", "doubled", "potential", "cotangent", "mid-step",
+                                  "short-t_max", "orthogonal"])
+def test_chord_search_matches_per_seed_oracle(name):
+    alpha, sp, X, Xp, t_max, h = _chord_case(name)
+    chord = rv.chord_search(alpha, sp, X, Xp, t_max=t_max, h=h)
+    oracle = per_seed_chord_oracle(alpha, sp, X, Xp, t_max, h)
+    if name in ("short-t_max", "orthogonal"):
+        assert chord is None and oracle is None
+        return
+    start, t_star, end = oracle
+    assert np.array_equal(chord.start.lift, start)  # same seed, same tie rule
+    # constant-velocity forms bisect identical states, so only the node time
+    # differs: k*h here, a running sum of k steps h (k half-ulps) in the oracle
+    tol = 1e-10 if name == "potential" else t_star / h * np.spacing(t_star)
+    assert abs(chord.t_star - t_star) <= tol
+    assert np.abs(chord.end.lift - end).max() <= 1e-9

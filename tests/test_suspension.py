@@ -223,3 +223,62 @@ def test_extended_trajectory_csv(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header.startswith("t,p1_lift,r_lift,q1_lift,s_lift")
     assert header.endswith(",E")
+
+
+# ---------------------------------------------------------------------------
+# unit arcs against the midpoint loops they replaced; the unit-period guard
+# ---------------------------------------------------------------------------
+
+def unit_arc_loop_oracle(F, space, lifts, h):
+    """The earlier unit-arc loop: m midpoint steps of every sample, stacked."""
+    field = rv.hamiltonian_field(F, space)
+    X = np.array(lifts, dtype=float)
+    nodes = [X]
+    for k in range(round(1.0 / h)):
+        X, _ = rv.dynamics.midpoint_step(field.velocity, X, k * h, h)
+        nodes.append(X)
+    return np.stack(nodes)
+
+
+@pytest.mark.parametrize("waves", [SIN2, NONAUTO, NONAUTO + [(0.05, [1, 1], 1, "sin")]])
+def test_unit_arc_fallback_matches_loop_oracle(waves):
+    from rotvec.measures import measure_from_iterates
+    from rotvec.suspension import _unit_arcs
+    F = rv.fourier_hamiltonian(2, waves)
+    sp = rv.torus(1)
+    lifts = np.random.default_rng(11).random((7, 2))
+    mu = measure_from_iterates(sp, lifts)  # no stored orbit: arcs are integrated
+    for h in (1e-2, 0.05):
+        oracle = unit_arc_loop_oracle(F, sp, lifts, h)
+        assert np.abs(_unit_arcs(mu, F, h) - oracle).max() <= 1e-12
+
+    # step7's right-hand side reads the same arcs
+    sigma = rv.CylinderMeasure(lifts, np.zeros(len(lifts)), mu.weights)
+
+    def G(X, s):
+        return np.cos(2 * np.pi * (X[..., 0] + X[..., 1] - s))
+
+    oracle = unit_arc_loop_oracle(F, sp, lifts, 1e-2)
+    rhs = np.mean([mu.weights @ G(oracle[k], np.full(len(lifts), k * 1e-2))
+                   for k in range(100)])
+    expected = abs(sigma.integrate(G) - rhs)
+    assert abs(rv.step7_correspondence_check(sigma, mu, F, [G]) - expected) <= 1e-12
+
+
+def test_rotation_pairing_time_one_rejects_steps_that_do_not_tile_the_period():
+    # h = 0.3 would stop the unit arc at t = 0.9
+    F = nonauto()
+    sp = rv.torus(1)
+    orbit = rv.time_one_orbit(F, sp, [0.25, 0.0], 5, 1e-2)
+    with pytest.raises(ValueError, match="does not divide"):
+        rv.rotation_pairing_time_one(orbit.measure(), F, rv.one_form([0.0, 1.0]), h=0.3)
+
+
+def test_step7_rejects_steps_that_do_not_tile_the_period():
+    F = nonauto()
+    sp = rv.torus(1)
+    mu = rv.EmpiricalMeasure(sp, np.array([[0.25, 0.3]]), np.array([1.0]))
+    sigma = rv.CylinderMeasure(mu.lifts, np.zeros(1), mu.weights)
+    with pytest.raises(ValueError, match="does not divide"):
+        rv.step7_correspondence_check(sigma, mu, F, [lambda X, s: np.cos(2 * np.pi * s)],
+                                      h=0.3)
