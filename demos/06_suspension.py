@@ -41,8 +41,9 @@ print(f"\nlargest |<[dq1], rho(mu, phi)>| = {value:.6f} at p1 = {best.lift[0]} "
 ## two formulas for the same pairing ------------------------------------------
 orbit = rv.time_one_orbit(F, space, best, n_units=int(report.horizons[-1]), h=1e-2)
 mu = orbit.measure()
-loop = rv.rotation_pairing_time_one(mu, F, alpha)
+loop, double = rv.rotation_pairing_time_one(mu, F, alpha)
 print(f"loop-integral route:    {loop:.12f}")
+print(f"double-integral route:  {double:.12f}")
 
 ## the suspended measure projects onto the base measure -----------------------
 sigma = rv.cylinder_measure_from_suspension(

@@ -44,13 +44,12 @@ class VectorFieldSpec:
     per-step linear solves, no numerical differentiation.
     """
 
-    def __init__(self, kind, space, velocity, conserved=None, source=None, autonomous=True):
+    def __init__(self, kind, space, velocity, conserved=None, source=None):
         self.kind = kind
         self.space = space
         self.velocity = velocity
         self.conserved = conserved  # scalar logged along orbits
         self.source = source
-        self.autonomous = autonomous
 
     def __call__(self, X, t=0.0):
         return self.velocity(X, t)
@@ -75,8 +74,7 @@ def hamiltonian_field(F: HamiltonianSpec, space: PhaseSpace) -> VectorFieldSpec:
         raise DimensionError(f"F has dim {F.dim}, space has {space.dim}")
     vel = F.poly.gradient_map(space.omega.inverse)
     conserved = F.poly.eval if F.autonomous else None
-    return VectorFieldSpec("hamiltonian", space, vel, conserved, source=F,
-                           autonomous=F.autonomous)
+    return VectorFieldSpec("hamiltonian", space, vel, conserved, source=F)
 
 
 def locally_hamiltonian_field(alpha: ClosedOneForm, space: PhaseSpace) -> VectorFieldSpec:
@@ -167,6 +165,18 @@ def _step_counts(T, h):
     return n_full, remainder
 
 
+def _trapezoid_weights(T, h):
+    """Trapezoid weights h/2, h, ..., h, h/2 over T of the nodes of a run over [0, T]
+    (the last step shorter if h does not divide T): every full step weighs the same."""
+    n_full, remainder = _step_counts(T, h)
+    steps = np.full(n_full + bool(remainder), h)
+    steps[n_full:] = remainder
+    w = np.zeros(len(steps) + 1)
+    w[:-1] += 0.5 * steps
+    w[1:] += 0.5 * steps
+    return w / T
+
+
 def midpoint_step(vel, X, t, h, v_node=None):
     """One implicit midpoint step for the batch X; returns (X_next, v_node).
 
@@ -246,7 +256,7 @@ def integrate(field: VectorFieldSpec, x0, T, h, method="midpoint") -> Trajectory
 def reversed_field(field: VectorFieldSpec) -> VectorFieldSpec:
     """The field generating the time-reversed flow (for reversibility checks)."""
     return VectorFieldSpec(field.kind, field.space, -field.velocity, field.conserved,
-                           field.source, field.autonomous)
+                           field.source)
 
 
 def _steps_per_unit(h):
@@ -274,7 +284,7 @@ def time_one_map(F: HamiltonianSpec, space: PhaseSpace, x0, h):
 # streaming Birkhoff accumulation (batched, constant memory)
 # ---------------------------------------------------------------------------
 
-def birkhoff_stream(field, X0, horizons, h, integrands, method="midpoint"):
+def birkhoff_stream(field, X0, horizons, h, integrands):
     """Integrate a batch, yielding trapezoid time-averages at each horizon.
 
     Parameters
@@ -297,7 +307,7 @@ def birkhoff_stream(field, X0, horizons, h, integrands, method="midpoint"):
             raise ValueError(f"horizon {T} is not a multiple of h = {h}")
     sums = np.zeros((len(integrands), len(X0)))
     pending = 0
-    for k, (t, X, V) in enumerate(_nodes(field, X0, counts[-1] * h, h, method=method)):
+    for k, (t, X, V) in enumerate(_nodes(field, X0, counts[-1] * h, h)):
         if integrands:
             f_node = np.array([f(X, V, t) for f in integrands])
             if k:

@@ -2,24 +2,29 @@
 
 Each experiment binds the library modules into one reproducible run: a JSON
 config (or a builtin preset) goes in, a ``Report`` with threshold checks plus
-gnuplot-ready ``.dat`` / CSV artifacts comes out. No step draws random
-numbers, so a run is deterministic for a fixed config; a ``seed`` key is still
-accepted (it must be an integer) but feeds no computation.
+gnuplot-ready ``.dat`` / CSV artifacts comes out. Every experiment is one
+record of ``_EXPERIMENTS``: its builtin values, the config sections its runner
+reads, its runner and its catalog entry. No step draws random numbers, so a
+run is deterministic for a fixed config; a ``seed`` key is still accepted (it
+must be an integer) but feeds no computation.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from . import geometry, suspension
-from .dynamics import _steps_per_unit, hamiltonian_field, integrate
-from .errors import ConfigError
-from .fields import parse_family
+from . import geometry
+from .dynamics import _steps_per_unit, hamiltonian_field, integrate, locally_hamiltonian_field
+from .errors import ConfigError, DimensionError
+from .fields import fourier_hamiltonian, parse_family
 from .geometry import (CohomologyClass, momentum_level_torus, one_form, torus,
                        twisted_structure)
 from .measures import (doubling_horizons, empirical_measure, extremal_orbit_search,
@@ -28,193 +33,66 @@ from .pbracket import PbProblem, PinnedProfileFamily, chord_search, pb_upper_bou
 from .suspension import (SuspendedHamiltonian, extended_point, map_orbit_search,
                          rotation_pairing_time_one, shift_equivariance_check,
                          suspension_flow, time_one_orbit)
-from .trig import TrigPoly
 
-EXPERIMENTS = (
-    "example1-bound",
-    "example1-sharpness",
-    "example3-twisted",
-    "pb-upper",
-    "chord",
-    "nonauto-suspension",
-    "custom",
-)
 
-# config sections that must be JSON objects when present; keys that no
-# experiment reads (such as retired optimizer settings) are ignored
-SECTIONS = ("space", "family", "form", "seeds", "integration", "regions", "optimizer",
-            "orbit", "chord", "iterates", "thresholds")
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment: its runner, what the runner reads, its builtin values."""
+
+    runner: Callable
+    reads: tuple       # the config sections the runner reads, checked in this order
+    thresholds: dict   # the threshold keys the runner reads, with their builtin values
+    defaults: dict | None  # builtin values of the other sections; None: all must be given
+    summary: str
+    expected: str
+    families: tuple = ("fourier", "pinned-profile")  # the family kinds it accepts
+    doubling: bool = False  # integration T0, 2 T0, ... <= T_max are search horizons
+    space_n: int | None = None  # the n its closed-form check is written for
 
 
 # ---------------------------------------------------------------------------
 # configs
 # ---------------------------------------------------------------------------
 
+_INTEGRATION = {"h": 0.01, "T0": 100.0, "T_max": 10000.0, "tol": 1e-4}
+
+
 def builtin_config(experiment):
     """The full default config of a builtin experiment."""
-    base = {
-        "experiment": experiment,
-        "integration": {"h": 0.01, "T0": 100.0, "T_max": 10000.0, "tol": 1e-4},
-    }
-    if experiment == "example1-bound":
-        base.update({
-            "space": {"kind": "torus", "n": 1, "omega": "standard"},
-            "family": {"family": "fourier",
-                       "coeffs": [[0.5, [0, 0], 0, "cos"], [-0.5, [1, 0], 0, "cos"]]},
-            "form": {"class": [0.0, 0.5]},
-            "seeds": {"kind": "full", "per_dim": 32},
-            "thresholds": {"full_class_pairing_min": 2.0, "best_value_target": np.pi,
-                           "best_value_tol": 1e-3},
-        })
-    elif experiment == "example1-sharpness":
-        base.update({
-            "space": {"kind": "torus", "n": 1, "omega": "standard"},
-            "family": {"family": "pinned-profile", "pins": [[0.0, 0.0], [0.5, 1.0]],
-                       "n_modes": 32, "slope_target": 2.1},
-            "form": {"class": [0.0, 1.0]},
-            "seeds": {"kind": "full", "per_dim": 32},
-            "thresholds": {"certified_slope_max": 2.1, "seed_pairing_slack": 1e-6},
-        })
-    elif experiment == "example3-twisted":
-        base.update({
-            "space": {"kind": "torus", "n": 2, "omega": "twisted-gamma",
-                      "gamma": geometry.DEFAULT_GAMMA},
-            "family": {"family": "fourier",
-                       "coeffs": [[0.5, [0, 0, 0, 0], 0, "cos"],
-                                  [-0.5, [1, 0, 0, 0], 0, "cos"]]},
-            "orbit": {"p1": 0.2, "T": 10000.0},
-            "thresholds": {"q_component_tol": 1e-3, "p_component_max": 1e-8},
-        })
-    elif experiment == "pb-upper":
-        base.update({
-            "space": {"kind": "torus", "n": 1, "omega": "standard"},
-            "regions": {"X": {"levels": [0.0]}, "Xp": {"levels": [0.5]}},
-            "form": {"class": [0.0, 0.5]},
-            "optimizer": {"cert_grid_res": 8192, "n_modes": 32,
-                          "pins": [[0.0, 0.0], [0.5, 1.0]]},
-            "thresholds": {"value_range": [0.999, 1.05], "floor": 1.0},
-        })
-    elif experiment == "chord":
-        base.update({
-            "space": {"kind": "torus", "n": 1, "omega": "standard"},
-            "regions": {"X": {"levels": [0.0]}, "Xp": {"levels": [0.5]}},
-            "form": {"class": [0.0, 0.5]},
-            "chord": {"t_max": 2.0},
-            "thresholds": {"t_star_target": 1.0, "t_star_tol": 1e-9, "pb_floor": 1.0},
-        })
-    elif experiment == "nonauto-suspension":
-        base.update({
-            "space": {"kind": "torus", "n": 1, "omega": "standard"},
-            # sin^2(pi p1) + 0.2 sin(2 pi s) sin(2 pi p1), expanded to waves
-            "family": {"family": "fourier",
-                       "coeffs": [[0.5, [0, 0], 0, "cos"], [-0.5, [1, 0], 0, "cos"],
-                                  [0.1, [1, 0], -1, "cos"], [-0.1, [1, 0], 1, "cos"]]},
-            "form": {"class": [0.0, 1.0]},
-            "seeds": {"kind": "momentum", "per_dim": 32},
-            "iterates": {"n0": 100, "n_max": 10000},
-            "thresholds": {"pairing_min": 2.0 - 1e-2, "formula_agreement": 1e-6},
-        })
-    elif experiment == "custom":
-        pass  # everything must be supplied explicitly
-    else:
-        raise ConfigError("/experiment", f"unknown experiment {experiment!r}")
-    return base
+    _require(isinstance(experiment, str) and experiment in _EXPERIMENTS, "/experiment",
+             f"must be one of {', '.join(_EXPERIMENTS)}")
+    record = _EXPERIMENTS[experiment]
+    config = {"experiment": experiment, "integration": dict(_INTEGRATION)}
+    if record.defaults is not None:
+        config.update(copy.deepcopy(record.defaults), thresholds=dict(record.thresholds))
+    return config
 
 
 def _merge(base, override):
+    """``override`` over ``base``, recursively; every dict of the result is new."""
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+        if isinstance(value, dict):
+            out[key] = _merge(out[key] if isinstance(out.get(key), dict) else {}, value)
         else:
             out[key] = value
     return out
 
 
 def validate_config(config):
-    """Validate and normalize a config dict; raises ConfigError with a path."""
+    """Validate and normalize a config dict; raises ConfigError with a path.
+
+    The builtin values are merged under the config; every section the runner
+    reads is checked field by field and given the defaults the builders use.
+    Sections and keys the runner does not read (such as retired optimizer
+    settings) are ignored.
+    """
     _require(isinstance(config, dict) and config, "", "config must be a non-empty JSON object")
-    experiment = config.get("experiment")
-    _require(experiment in EXPERIMENTS, "/experiment", f"must be one of {', '.join(EXPERIMENTS)}")
-    merged = _merge(builtin_config(experiment), config)
-    if experiment == "custom":
-        for section in ("space", "family", "form", "seeds", "thresholds"):
-            _require(section in merged, f"/{section}", "required for custom experiments")
-    for section in SECTIONS:
-        _require(isinstance(merged.get(section, {}), dict), f"/{section}", "must be a JSON object")
-    space = merged.get("space", {})
-    if space:
-        _require(space.get("kind") in ("torus", "cotangent-of-torus"), "/space/kind",
-                 "must be torus or cotangent-of-torus")
-        _require(_is_int(space.get("n"), 1), "/space/n", "must be a positive integer")
-        omega = space.get("omega", "standard")
-        if isinstance(omega, str):
-            _require(omega in ("standard", "twisted-gamma"), "/space/omega",
-                     "preset must be standard or twisted-gamma")
-            _require(omega == "standard" or space["n"] == 2, "/space/omega",
-                     "twisted-gamma requires n = 2")
-    family = merged.get("family")
-    _require(family is None or family.get("family") in ("fourier", "pinned-profile"),
-             "/family/family", "must be fourier or pinned-profile")
-    form = merged.get("form")
-    if space:
-        dim = 2 * space["n"]
-        if family is not None and family["family"] == "fourier":
-            _check_waves(family.get("coeffs"), 4, dim, "/family/coeffs")
-        _require(form is None or len(form.get("class", ())) == dim, "/form/class",
-                 f"needs {dim} coefficients")
-        if form is not None and form.get("potential"):
-            _check_waves(form["potential"], 3, dim, "/form/potential")
-    seeds = merged.get("seeds", {"kind": "full"})
-    _require(seeds.get("kind") in ("full", "momentum"), "/seeds/kind", "must be full or momentum")
-    _require(_is_int(seeds.get("per_dim", 32), 1), "/seeds/per_dim", "must be a positive integer")
-    integ = merged.get("integration", {})
-    _require(_is_positive(integ.get("h", 1e-2)), "/integration/h", "must be a positive number")
-    _require(integ.get("T0", 1.0) <= integ.get("T_max", np.inf), "/integration/T0",
-             "T0 exceeds T_max")
-    if experiment in ("example1-bound", "example1-sharpness", "custom"):
-        _require(integ["T0"] > 0, "/integration/T0", "must be positive")
-        for T in doubling_horizons(integ["T0"], integ["T_max"]):
-            _require(abs(round(T / integ["h"]) * integ["h"] - T) <= 1e-9, "/integration/h",
-                     f"horizon {T} is not a multiple of h")
-    # the thresholds the experiment reads; custom runs the example1-bound checks
-    runner = "example1-bound" if experiment == "custom" else experiment
-    for key in builtin_config(runner).get("thresholds", {}):
-        value = merged["thresholds"].get(key)
-        if key == "value_range":
-            _require(isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)),
-                     "/thresholds/value_range", "must be a [low, high] pair")
-        else:
-            _require(_is_number(value), f"/thresholds/{key}", "required, a number")
-    if experiment in ("pb-upper", "chord"):
-        for name in ("X", "Xp"):
-            _check_region(merged["regions"].get(name), space["n"], f"/regions/{name}")
-    if experiment == "chord":
-        _require(_is_positive(merged["chord"].get("t_max")), "/chord/t_max",
-                 "must be a positive number")
-        _require(merged["thresholds"]["pb_floor"] > 0, "/thresholds/pb_floor", "must be positive")
-    if experiment == "example3-twisted":
-        _require(_is_number(merged["orbit"].get("p1")), "/orbit/p1", "must be a number")
-        _require(_is_positive(merged["orbit"].get("T")), "/orbit/T", "must be a positive number")
-    if experiment == "nonauto-suspension":
-        iters = merged["iterates"]
-        _require(_is_int(iters.get("n0"), 1), "/iterates/n0", "must be a positive integer")
-        _require(_is_int(iters.get("n_max"), iters["n0"]), "/iterates/n_max",
-                 "must be an integer >= n0")
-        try:
-            _steps_per_unit(integ["h"])
-        except ValueError as exc:
-            raise ConfigError("/integration/h", str(exc)) from None
-    if experiment == "pb-upper":
-        opt = merged["optimizer"]
-        _require(_is_int(opt.get("n_modes"), 1), "/optimizer/n_modes",
-                 "must be a positive integer")
-        _require(_is_int(opt.get("cert_grid_res"), 16), "/optimizer/cert_grid_res",
-                 "must be an integer >= 16")
-        pins = opt.get("pins")
-        _require(isinstance(pins, list) and all(
-            isinstance(pin, list) and len(pin) == 2 and all(map(_is_number, pin))
-            for pin in pins), "/optimizer/pins", "must be a list of [t, v] pairs")
+    merged = _merge(builtin_config(config.get("experiment")), config)
+    record = _EXPERIMENTS[merged["experiment"]]
+    for section in record.reads:
+        _require(isinstance(merged.get(section), dict), f"/{section}", "required, a JSON object")
+        _CHECKS[section](merged, record)
     _require(isinstance(merged.get("seed", 0), int), "/seed", "seed must be an integer")
     return merged
 
@@ -224,49 +102,192 @@ def _require(ok, path, message):
         raise ConfigError(path, message)
 
 
-def _is_int(x, lo):
+def _is_int(x, lo=-math.inf):
     return isinstance(x, int) and not isinstance(x, bool) and x >= lo
 
 
 def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return (isinstance(x, int) and not isinstance(x, bool)
+            or isinstance(x, float) and math.isfinite(x))
 
 
 def _is_positive(x):
     return _is_number(x) and x > 0
 
 
-def _check_waves(waves, arity, dim, path):
-    """Every wave [c, k, ...] has ``arity`` entries and a length-``dim`` wave vector k."""
+def _is_numbers(x, length):
+    return isinstance(x, list) and len(x) == length and all(map(_is_number, x))
+
+
+def _check_space(cfg, record):
+    space = cfg["space"]
+    _require(space.get("kind") in ("torus", "cotangent-of-torus"), "/space/kind",
+             "must be torus or cotangent-of-torus")
+    n = space.get("n")
+    _require(_is_int(n, 1) and record.space_n in (None, n), "/space/n",
+             f"must be {record.space_n or 'a positive integer'}")
+    omega = space.setdefault("omega", "standard")
+    if isinstance(omega, dict):
+        matrix = omega.get("matrix")
+        _require(isinstance(matrix, list) and all(_is_numbers(row, len(matrix)) for row in matrix),
+                 "/space/omega/matrix", "must be a square matrix of numbers")
+        try:
+            _build_space(cfg)
+        except (ValueError, DimensionError) as exc:  # wrong size, not antisymmetric, singular
+            raise ConfigError("/space/omega/matrix", str(exc)) from None
+    else:
+        _require(omega in ("standard", "twisted-gamma"), "/space/omega",
+                 'must be "standard", "twisted-gamma" or {"matrix": [...]}')
+        _require(omega == "standard" or n == 2, "/space/omega", "twisted-gamma requires n = 2")
+    if omega == "twisted-gamma":
+        space.setdefault("gamma", geometry.DEFAULT_GAMMA)
+    _require(_is_number(space.get("gamma", 0.0)), "/space/gamma", "must be a number")
+
+
+def _check_family(cfg, record):
+    family, dim = cfg["family"], 2 * cfg["space"]["n"]
+    _require(family.get("family") in record.families, "/family/family",
+             f"must be {' or '.join(record.families)}")
+    if family["family"] == "fourier":
+        _check_waves(family.get("coeffs"), True, dim, "/family/coeffs")
+        return
+    _check_pins(family.get("pins"), "/family/pins")
+    # the optional fields keep the defaults of fields.make_pinned_profile
+    _require("n_modes" not in family or _is_int(family["n_modes"], 1), "/family/n_modes",
+             "must be a positive integer")
+    _require(family.get("slope_target") is None or _is_number(family["slope_target"]),
+             "/family/slope_target", "must be a number or null")
+    _require("coord" not in family or _is_int(family["coord"], 0) and family["coord"] < dim,
+             "/family/coord", f"must be an integer in [0, {dim})")
+
+
+def _check_waves(waves, timed, dim, path):
+    """Waves [c, k, m, kind] (``timed``) or [c, k, kind]: a number, ``dim``
+    integers, an integer time frequency, and cos or sin."""
     _require(isinstance(waves, list), path, "must be a list of waves")
     for i, wave in enumerate(waves):
-        _require(isinstance(wave, list) and len(wave) == arity
-                 and isinstance(wave[1], list) and len(wave[1]) == dim,
-                 f"{path}/{i}", f"needs {arity} entries and a length-{dim} wave vector")
+        _require(isinstance(wave, list) and len(wave) == 3 + timed and _is_number(wave[0])
+                 and isinstance(wave[1], list) and len(wave[1]) == dim
+                 and all(map(_is_int, wave[1])) and (not timed or _is_int(wave[2]))
+                 and wave[-1] in ("cos", "sin"),
+                 f"{path}/{i}", f"must be [c, [{dim} integers], {'m, ' * timed}\"cos\" or \"sin\"]")
 
 
-def _check_region(spec, n, path):
-    """A region is ``constraints`` [[index, value], ...] or ``levels`` of the n momenta."""
-    _require(isinstance(spec, dict), path, "must be a JSON object")
-    if "constraints" in spec:
-        _require(isinstance(spec["constraints"], list) and all(
-            isinstance(c, list) and len(c) == 2 and _is_int(c[0], 0) and c[0] < 2 * n
-            and _is_number(c[1]) for c in spec["constraints"]),
-            f"{path}/constraints", f"must be [index < {2 * n}, value] pairs")
-    else:
-        levels = spec.get("levels")
-        _require(isinstance(levels, list) and len(levels) == n and all(map(_is_number, levels)),
-                 f"{path}/levels", f"must be a list of {n} numbers")
-    _require(_is_int(spec.get("per_dim", 32), 1), f"{path}/per_dim", "must be a positive integer")
+def _check_pins(pins, path):
+    _require(isinstance(pins, list) and all(_is_numbers(pin, 2) for pin in pins), path,
+             "must be a list of [t, v] pairs")
+
+
+def _check_form(cfg, record):
+    form, dim = cfg["form"], 2 * cfg["space"]["n"]
+    _require(_is_numbers(form.get("class"), dim), "/form/class", f"must be {dim} numbers")
+    form.setdefault("potential", None)
+    if form["potential"] is not None:
+        _check_waves(form["potential"], False, dim, "/form/potential")
+
+
+def _check_seeds(cfg, record):
+    seeds = cfg["seeds"]
+    _require(seeds.get("kind") in ("full", "momentum"), "/seeds/kind", "must be full or momentum")
+    seeds.setdefault("per_dim", 32)
+    _require(_is_int(seeds["per_dim"], 1), "/seeds/per_dim", "must be a positive integer")
+
+
+def _check_integration(cfg, record):
+    integ = cfg["integration"]
+    for key in ("h", "T0"):
+        _require(_is_positive(integ.get(key)), f"/integration/{key}", "must be a positive number")
+    _require(_is_number(integ.get("T_max")), "/integration/T_max", "must be a number")
+    _require(integ["T0"] <= integ["T_max"], "/integration/T0", "T0 exceeds T_max")
+    _require(_is_number(integ.get("tol")) and integ["tol"] >= 0, "/integration/tol",
+             "must be a non-negative number")
+    if record.doubling:
+        for T in doubling_horizons(integ["T0"], integ["T_max"]):
+            _require(abs(round(T / integ["h"]) * integ["h"] - T) <= 1e-9, "/integration/h",
+                     f"horizon {T} is not a multiple of h")
+
+
+def _check_iterates(cfg, record):
+    iters = cfg["iterates"]
+    _require(_is_int(iters.get("n0"), 1), "/iterates/n0", "must be a positive integer")
+    _require(_is_int(iters.get("n_max"), iters["n0"]), "/iterates/n_max",
+             "must be an integer >= n0")
+    try:  # map iterates are unit periods of h steps each
+        _steps_per_unit(cfg["integration"]["h"])
+    except ValueError as exc:
+        raise ConfigError("/integration/h", str(exc)) from None
+
+
+def _check_regions(cfg, record):
+    """X and X' are ``constraints`` [[index, value], ...] or ``levels`` of the n
+    momenta; they are disjoint when they pin a shared coordinate to two values."""
+    n, kind = cfg["space"]["n"], cfg["space"]["kind"]
+    pinned = []
+    for name in ("X", "Xp"):
+        spec, path = cfg["regions"].get(name), f"/regions/{name}"
+        _require(isinstance(spec, dict), path, "must be a JSON object")
+        if "constraints" in spec:
+            _require(isinstance(spec["constraints"], list) and all(
+                isinstance(c, list) and len(c) == 2 and _is_int(c[0], 0) and c[0] < 2 * n
+                and _is_number(c[1]) for c in spec["constraints"]),
+                f"{path}/constraints", f"must be [index < {2 * n}, value] pairs")
+            pinned.append(dict(spec["constraints"]))
+        else:
+            _require(_is_numbers(spec.get("levels"), n), f"{path}/levels",
+                     f"must be a list of {n} numbers")
+            pinned.append(dict(enumerate(spec["levels"])))
+        spec.setdefault("per_dim", 32)
+        _require(_is_int(spec["per_dim"], 1), f"{path}/per_dim", "must be a positive integer")
+    X, Xp = pinned
+    gaps = [abs(geometry.circular_residual(v, Xp[i]) if kind == "torus" or i >= n else v - Xp[i])
+            for i, v in X.items() if i in Xp]  # the momenta of T*T^n are not periodic
+    _require(max(gaps, default=0.0) > geometry.MEMBERSHIP_TOL, "/regions/Xp",
+             "must be disjoint from X: pin a coordinate of X to another value")
+
+
+def _check_optimizer(cfg, record):
+    opt = cfg["optimizer"]
+    _require(_is_int(opt.get("n_modes"), 1), "/optimizer/n_modes", "must be a positive integer")
+    _require(_is_int(opt.get("cert_grid_res"), 16) and opt["cert_grid_res"] <= 2 ** 26,
+             "/optimizer/cert_grid_res", "must be an integer in [16, 2**26]")
+    _check_pins(opt.get("pins"), "/optimizer/pins")
+
+
+def _check_orbit(cfg, record):
+    _require(_is_number(cfg["orbit"].get("p1")), "/orbit/p1", "must be a number")
+    _require(_is_positive(cfg["orbit"].get("T")), "/orbit/T", "must be a positive number")
+
+
+def _check_chord(cfg, record):
+    _require(_is_positive(cfg["chord"].get("t_max")), "/chord/t_max", "must be a positive number")
+
+
+def _check_thresholds(cfg, record):
+    for key in record.thresholds:
+        value = cfg["thresholds"].get(key)
+        if key == "value_range":
+            _require(_is_numbers(value, 2), "/thresholds/value_range",
+                     "must be a [low, high] pair")
+        elif key == "pb_floor":  # the chord time bound is 1/pb_floor
+            _require(_is_positive(value), "/thresholds/pb_floor", "must be a positive number")
+        else:
+            _require(_is_number(value), f"/thresholds/{key}", "required, a number")
+
+
+# one check per config section, covering every field the builders and runners read
+_CHECKS = {"space": _check_space, "family": _check_family, "form": _check_form,
+           "seeds": _check_seeds, "integration": _check_integration,
+           "regions": _check_regions, "optimizer": _check_optimizer, "orbit": _check_orbit,
+           "chord": _check_chord, "iterates": _check_iterates, "thresholds": _check_thresholds}
 
 
 def _build_space(cfg):
     spec = cfg["space"]
-    omega = spec.get("omega", "standard")
+    omega = spec["omega"]
     if omega == "standard":
         structure = None
     elif omega == "twisted-gamma":
-        structure = twisted_structure(spec.get("gamma", geometry.DEFAULT_GAMMA))
+        structure = twisted_structure(spec["gamma"])
     else:
         structure = geometry.SymplecticStructure(np.asarray(omega["matrix"], dtype=float))
     if spec["kind"] == "torus":
@@ -275,29 +296,23 @@ def _build_space(cfg):
 
 
 def _build_form(cfg, dim):
-    spec = cfg["form"]
-    potential = None
-    if spec.get("potential"):
-        potential = TrigPoly.zero(dim)
-        for c, k, kind in spec["potential"]:
-            potential = potential + TrigPoly.wave(dim, c, k, 0, kind)
-    return one_form(spec["class"], potential)
+    waves = cfg["form"]["potential"] or []
+    potential = fourier_hamiltonian(dim, [(c, k, 0, kind) for c, k, kind in waves]).poly
+    return one_form(cfg["form"]["class"], potential if waves else None)
 
 
 def _build_seeds(cfg, space):
-    spec = cfg.get("seeds", {"kind": "full", "per_dim": 32})
-    if spec["kind"] == "momentum":
-        return momentum_seed_grid(space, spec.get("per_dim", 32))
-    return full_seed_grid(space, spec.get("per_dim", 32))
+    spec = cfg["seeds"]
+    grid = momentum_seed_grid if spec["kind"] == "momentum" else full_seed_grid
+    return grid(space, spec["per_dim"])
 
 
 def _build_region(spec, space):
     """Region from config: momentum levels or explicit pinned coordinates."""
     if "constraints" in spec:
         return geometry.product_of_levels(
-            space, [(int(i), float(v)) for i, v in spec["constraints"]],
-            per_dim=spec.get("per_dim", 32))
-    return momentum_level_torus(space, spec["levels"], per_dim=spec.get("per_dim", 32))
+            space, [(int(i), float(v)) for i, v in spec["constraints"]], per_dim=spec["per_dim"])
+    return momentum_level_torus(space, spec["levels"], per_dim=spec["per_dim"])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +332,7 @@ class Report:
     runtime_s: float = 0.0
 
     def to_json(self):
-        doc = {
+        return {
             "experiment": self.experiment,
             "config": self.config,
             "results": self.results,
@@ -326,18 +341,22 @@ class Report:
             "artifacts": self.artifacts,
             "timing": {"runtime_s": self.runtime_s},
         }
-        return doc
 
     def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True, indent=2, default=_json_default)
+        return json.dumps(_json_safe(self.to_json()), sort_keys=True, indent=2)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
+def _json_safe(obj):
+    """``obj`` with numpy scalars and arrays (at any depth) as plain JSON values."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    return obj
 
 
 def _result(value, provenance, threshold=None, tolerance=None, passed=None):
@@ -352,24 +371,51 @@ def _result(value, provenance, threshold=None, tolerance=None, passed=None):
 
 
 def _write_dat(path, header, columns):
-    data = np.column_stack(columns)
-    np.savetxt(path, data, header=header)
+    np.savetxt(path, np.column_stack(columns), header=header)
+
+
+def _write_profile(path, header, F, dim):
+    """F and dF/dp1 on 2048 points of the p1 circle."""
+    grid = np.arange(2048) / 2048.0
+    pts = np.zeros((2048, dim))
+    pts[:, 0] = grid
+    _write_dat(path, header, [grid, F.eval(pts), F.grad(pts)[:, 0]])
+
+
+def _write_orbit_csv(path, traj, space, with_energy):
+    """Time, lifts (and the conserved value H) at about 2000 nodes of an orbit, as CSV."""
+    stride = max(1, len(traj) // 2000)
+    header = ["t"] + [f"{c}_lift" for c in _coord_names(space)] + ["H"] * with_energy
+    columns = [traj.times, traj.lifts] + [traj.energies] * with_energy
+    np.savetxt(path, np.column_stack([column[::stride] for column in columns]),
+               delimiter=",", header=",".join(header), comments="")
+
+
+def _coord_names(space):
+    n = space.n
+    if space.kind == "extended":
+        nb = n - 1
+        return [f"p{i+1}" for i in range(nb)] + ["r"] + [f"q{i+1}" for i in range(nb)] + ["s"]
+    return [f"p{i+1}" for i in range(n)] + [f"q{i+1}" for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # experiment bodies
 # ---------------------------------------------------------------------------
 
-def _run_example1_bound(cfg, out):
+def _extremal_search(cfg):
+    """(space, F, best seed, best |pairing|, report) of the doubling-horizon search."""
     space = _build_space(cfg)
     F = parse_family(cfg["family"], space.dim)
-    alpha = _build_form(cfg, space.dim)
-    seeds = _build_seeds(cfg, space)
     integ = cfg["integration"]
-    best_pt, best_val, report = extremal_orbit_search(
-        F, alpha, space, seeds, T0=integ["T0"], T_max=integ["T_max"],
-        h=integ["h"], tol=integ["tol"])
-    q1_coeff = alpha.cclass.coeffs[space.n]
+    return (space, F) + extremal_orbit_search(
+        F, _build_form(cfg, space.dim), space, _build_seeds(cfg, space), T0=integ["T0"],
+        T_max=integ["T_max"], h=integ["h"], tol=integ["tol"])
+
+
+def _run_example1_bound(cfg, out):
+    space, F, best_pt, best_val, report = _extremal_search(cfg)
+    q1_coeff = float(cfg["form"]["class"][space.n])
     scale = 1.0 / q1_coeff if abs(q1_coeff) > 1e-12 else 1.0  # report in the integer class [dq1]
     full_pairing = scale * best_val
     th = cfg["thresholds"]
@@ -390,27 +436,17 @@ def _run_example1_bound(cfg, out):
     }
     artifacts = []
     if out:
-        path = out / "pairing_vs_T.dat"
-        _write_dat(path, "T best_pairing", [np.array(report.horizons),
-                                            np.array(report.best_values)])
-        artifacts.append(path.name)
-        path = out / "search_report.json"
-        path.write_text(report.dumps())
-        artifacts.append(path.name)
+        _write_dat(out / "pairing_vs_T.dat", "T best_pairing",
+                   [np.array(report.horizons), np.array(report.best_values)])
+        (out / "search_report.json").write_text(report.dumps())
+        artifacts = ["pairing_vs_T.dat", "search_report.json"]
     return results, [], artifacts
 
 
 def _run_example1_sharpness(cfg, out):
-    space = _build_space(cfg)
-    F = parse_family(cfg["family"], space.dim)
-    alpha = _build_form(cfg, space.dim)
-    seeds = _build_seeds(cfg, space)
-    integ = cfg["integration"]
+    space, F, _, _, report = _extremal_search(cfg)
     th = cfg["thresholds"]
     certified = F.metadata["certified_slope"]
-    _, best_val, report = extremal_orbit_search(
-        F, alpha, space, seeds, T0=integ["T0"], T_max=integ["T_max"],
-        h=integ["h"], tol=integ["tol"])
     seed_max = float(np.max(report.per_seed_values))
     bound = certified + th["seed_pairing_slack"]
     results = {
@@ -430,14 +466,8 @@ def _run_example1_sharpness(cfg, out):
     }
     artifacts = []
     if out:
-        grid = np.arange(2048) / 2048.0
-        pts = np.zeros((2048, space.dim))
-        pts[:, 0] = grid
-        u = F.eval(pts)
-        du = F.grad(pts)[:, 0]
-        path = out / "profile.dat"
-        _write_dat(path, "p1 u du", [grid, u, du])
-        artifacts.append(path.name)
+        _write_profile(out / "profile.dat", "p1 u du", F, space.dim)
+        artifacts = ["profile.dat"]
     return results, [], artifacts
 
 
@@ -447,10 +477,8 @@ def _run_example3_twisted(cfg, out):
     orbit = cfg["orbit"]
     x0 = np.zeros(space.dim)
     x0[0] = orbit["p1"]
-    integ = cfg["integration"]
-    traj = integrate(hamiltonian_field(F, space), x0, orbit["T"], integ["h"])
-    mu = empirical_measure(traj)
-    rho = rotation_vector(mu, F)
+    traj = integrate(hamiltonian_field(F, space), x0, orbit["T"], cfg["integration"]["h"])
+    rho = rotation_vector(empirical_measure(traj), F)
     gamma = cfg["space"]["gamma"]
     speed = np.pi * np.sin(2 * np.pi * orbit["p1"])
     expected = np.array([0.0, 0.0, speed, -gamma * speed])
@@ -470,22 +498,15 @@ def _run_example3_twisted(cfg, out):
     }
     artifacts = []
     if out:
-        stride = max(1, len(traj) // 2000)
-        path = out / "orbit.csv"
-        sub = traj.lifts[::stride]
-        names = ["p1", "p2", "q1", "q2"]
-        header = ["t"] + [f"{c}_lift" for c in names]
-        np.savetxt(path, np.column_stack([traj.times[::stride], sub]),
-                   delimiter=",", header=",".join(header), comments="")
-        artifacts.append(path.name)
+        _write_orbit_csv(out / "orbit.csv", traj, space, with_energy=False)
+        artifacts = ["orbit.csv"]
     return results, [], artifacts
 
 
 def _run_pb_upper(cfg, out):
     space = _build_space(cfg)
     opt = cfg["optimizer"]
-    X = _build_region(cfg["regions"]["X"], space)
-    Xp = _build_region(cfg["regions"]["Xp"], space)
+    X, Xp = (_build_region(cfg["regions"][name], space) for name in ("X", "Xp"))
     a = CohomologyClass(np.asarray(cfg["form"]["class"], dtype=float))
     family = PinnedProfileFamily(space, a, opt["pins"], n_modes=opt["n_modes"])
     problem = PbProblem(space, X, Xp, a, family, floor=cfg["thresholds"]["floor"])
@@ -503,24 +524,17 @@ def _run_pb_upper(cfg, out):
     }
     artifacts = []
     if out:
-        path = out / "pb_audit.json"
-        path.write_text(json.dumps(result.audit, sort_keys=True, indent=2,
-                                   default=_json_default))
-        artifacts.append(path.name)
-        grid = np.arange(2048) / 2048.0
-        pts = np.zeros((2048, space.dim))
-        pts[:, 0] = grid
-        path = out / "winning_profile.dat"
-        _write_dat(path, "p1 F dF", [grid, result.F.eval(pts), result.F.grad(pts)[:, 0]])
-        artifacts.append(path.name)
+        (out / "pb_audit.json").write_text(
+            json.dumps(_json_safe(result.audit), sort_keys=True, indent=2))
+        _write_profile(out / "winning_profile.dat", "p1 F dF", result.F, space.dim)
+        artifacts = ["pb_audit.json", "winning_profile.dat"]
     return results, [], artifacts
 
 
 def _run_chord(cfg, out):
     space = _build_space(cfg)
     alpha = _build_form(cfg, space.dim)
-    X = _build_region(cfg["regions"]["X"], space)
-    Xp = _build_region(cfg["regions"]["Xp"], space)
+    X, Xp = (_build_region(cfg["regions"][name], space) for name in ("X", "Xp"))
     th = cfg["thresholds"]
     chord = chord_search(alpha, space, X, Xp, t_max=cfg["chord"]["t_max"],
                          h=cfg["integration"]["h"])
@@ -542,13 +556,11 @@ def _run_chord(cfg, out):
     }
     artifacts = []
     if out:
-        from .dynamics import locally_hamiltonian_field
-        field = locally_hamiltonian_field(alpha, space)
-        arc = integrate(field, chord.start, chord.t_star, cfg["integration"]["h"])
-        path = out / "chord.dat"
-        _write_dat(path, "t " + " ".join(_coord_names(space)),
+        arc = integrate(locally_hamiltonian_field(alpha, space), chord.start, chord.t_star,
+                        cfg["integration"]["h"])
+        _write_dat(out / "chord.dat", "t " + " ".join(_coord_names(space)),
                    [arc.times] + list(arc.lifts.T))
-        artifacts.append(path.name)
+        artifacts = ["chord.dat"]
     return results, [], artifacts
 
 
@@ -556,28 +568,25 @@ def _run_nonauto(cfg, out):
     space = _build_space(cfg)
     F = parse_family(cfg["family"], space.dim)
     alpha = _build_form(cfg, space.dim)
-    seeds = _build_seeds(cfg, space)
     integ = cfg["integration"]
     iters = cfg["iterates"]
     th = cfg["thresholds"]
     best_pt, best_val, report = map_orbit_search(
-        F, alpha, space, seeds, n0=iters["n0"], n_max=iters["n_max"],
+        F, alpha, space, _build_seeds(cfg, space), n0=iters["n0"], n_max=iters["n_max"],
         h=integ["h"], tol=integ["tol"])
-    n_final = int(report.horizons[-1])
-    orbit = time_one_orbit(F, space, best_pt, n_final, integ["h"])
-    mu = orbit.measure()
-    loop_value = rotation_pairing_time_one(mu, F, alpha, h=integ["h"])
-    double_value = _double_route_value(mu, F, alpha, space, integ["h"])
+    orbit = time_one_orbit(F, space, best_pt, int(report.horizons[-1]), integ["h"])
+    loop_value, double_value = rotation_pairing_time_one(orbit.measure(), F, alpha, h=integ["h"])
     agreement = abs(loop_value - double_value)
 
     H = SuspendedHamiltonian(F, space)
     z0 = extended_point(best_pt.lift, 0.0, 0.0, H.nspace)
-    cons_T = 1000.0
-    straj = suspension_flow(H, z0, cons_T, integ["h"])
+    straj = suspension_flow(H, z0, 1000.0, integ["h"])
     unit_idx = np.arange(0, len(straj), round(1.0 / integ["h"]))
     h_drift = float(np.max(np.abs(straj.energies[unit_idx] - straj.energies[0])))
     r_values = straj.lifts[:, space.n]
-    f_range = _global_range(F, space)
+    n_axes = max(1, len(F.poly.active_dims()) + F.poly.is_time_dependent)
+    f_values = F.poly.grid_values(min(512, int(2 ** (18 / n_axes))))  # <= 2**18 points
+    f_range = float(f_values.max() - f_values.min())  # bounds |r| on orbits from r = 0
     equiv = shift_equivariance_check(H, z0, 1.0, 10.0, integ["h"])
 
     results = {
@@ -609,54 +618,90 @@ def _run_nonauto(cfg, out):
     ]
     artifacts = []
     if out:
-        path = out / "pairing_vs_N.dat"
-        _write_dat(path, "N best_pairing", [np.array(report.horizons),
-                                            np.array(report.best_values)])
-        artifacts.append(path.name)
-        stride = max(1, len(straj) // 2000)
-        path = out / "suspension.csv"
-        names = _coord_names(H.nspace)
-        header = ["t"] + [f"{c}_lift" for c in names] + ["H"]
-        np.savetxt(path, np.column_stack([straj.times[::stride], straj.lifts[::stride],
-                                          straj.energies[::stride]]),
-                   delimiter=",", header=",".join(header), comments="")
-        artifacts.append(path.name)
+        _write_dat(out / "pairing_vs_N.dat", "N best_pairing",
+                   [np.array(report.horizons), np.array(report.best_values)])
+        _write_orbit_csv(out / "suspension.csv", straj, H.nspace, with_energy=True)
+        artifacts = ["pairing_vs_N.dat", "suspension.csv"]
     return results, notes, artifacts
 
 
-def _double_route_value(mu, F, alpha, space, h):
-    """The (x, t) double-integral route, exposed for report symmetry."""
-    from .suspension import _double_route, _unit_arcs
-    return _double_route(_unit_arcs(mu, F, h), mu.weights, F, alpha, space, h)
+# ---------------------------------------------------------------------------
+# the experiments
+# ---------------------------------------------------------------------------
 
+_STANDARD = {"kind": "torus", "n": 1, "omega": "standard"}
+_LEVELS = {"X": {"levels": [0.0]}, "Xp": {"levels": [0.5]}}
 
-def _global_range(F, space, grid_res=512):
-    """max F - min F over a fine grid of the active coordinates (and time)."""
-    vals = F.poly.grid_values(grid_res)
-    return float(vals.max() - vals.min())
-
-
-def _run_custom(cfg, out):
-    return _run_example1_bound(cfg, out)
-
-
-def _coord_names(space):
-    n = space.n
-    if space.kind == "extended":
-        nb = n - 1
-        return [f"p{i+1}" for i in range(nb)] + ["r"] + [f"q{i+1}" for i in range(nb)] + ["s"]
-    return [f"p{i+1}" for i in range(n)] + [f"q{i+1}" for i in range(n)]
-
-
-_RUNNERS = {
-    "example1-bound": _run_example1_bound,
-    "example1-sharpness": _run_example1_sharpness,
-    "example3-twisted": _run_example3_twisted,
-    "pb-upper": _run_pb_upper,
-    "chord": _run_chord,
-    "nonauto-suspension": _run_nonauto,
-    "custom": _run_custom,
+_EXPERIMENTS = {
+    "example1-bound": _Experiment(
+        _run_example1_bound, ("space", "family", "form", "seeds", "integration", "thresholds"),
+        {"full_class_pairing_min": 2.0, "best_value_target": np.pi, "best_value_tol": 1e-3},
+        {"space": _STANDARD,
+         "family": {"family": "fourier",
+                    "coeffs": [[0.5, [0, 0], 0, "cos"], [-0.5, [1, 0], 0, "cos"]]},
+         "form": {"class": [0.0, 0.5]},
+         "seeds": {"kind": "full", "per_dim": 32}},
+        "largest rotation pairing of the standard-torus pinned flow",
+        "full-class pairing >= 2; best ~ pi within 1e-3", doubling=True),
+    "example1-sharpness": _Experiment(
+        _run_example1_sharpness,
+        ("space", "family", "form", "seeds", "integration", "thresholds"),
+        {"certified_slope_max": 2.1, "seed_pairing_slack": 1e-6},
+        {"space": _STANDARD,
+         "family": {"family": "pinned-profile", "pins": [[0.0, 0.0], [0.5, 1.0]],
+                    "n_modes": 32, "slope_target": 2.1},
+         "form": {"class": [0.0, 1.0]},
+         "seeds": {"kind": "full", "per_dim": 32}},
+        "minimal-slope admissible profile caps every orbit's pairing",
+        "certified max|u'| <= 2.1; every seed <= 2.1 + 1e-6",
+        families=("pinned-profile",), doubling=True),  # it reads F's certified_slope
+    "example3-twisted": _Experiment(
+        _run_example3_twisted, ("space", "family", "integration", "orbit", "thresholds"),
+        {"q_component_tol": 1e-3, "p_component_max": 1e-8},
+        {"space": {"kind": "torus", "n": 2, "omega": "twisted-gamma",
+                   "gamma": geometry.DEFAULT_GAMMA},
+         "family": {"family": "fourier",
+                    "coeffs": [[0.5, [0, 0, 0, 0], 0, "cos"], [-0.5, [1, 0, 0, 0], 0, "cos"]]},
+         "orbit": {"p1": 0.2, "T": 10000.0}},
+        "quasi-periodic rotation vector on the sheared 4-torus",
+        "rho ~ pi*sin(0.4*pi) * (0, 0, 1, -gamma) within 1e-3", space_n=2),
+    "pb-upper": _Experiment(
+        _run_pb_upper, ("space", "form", "regions", "optimizer", "thresholds"),
+        {"value_range": [0.999, 1.05], "floor": 1.0},
+        {"space": _STANDARD, "regions": _LEVELS, "form": {"class": [0.0, 0.5]},
+         "optimizer": {"cert_grid_res": 8192, "n_modes": 32,
+                       "pins": [[0.0, 0.0], [0.5, 1.0]]}},
+        "certified minimax bracket bound for the standard pair of tori",
+        "pb-upper in [0.999, 1.05]"),
+    "chord": _Experiment(
+        _run_chord, ("space", "form", "regions", "integration", "chord", "thresholds"),
+        {"t_star_target": 1.0, "t_star_tol": 1e-9, "pb_floor": 1.0},
+        {"space": _STANDARD, "regions": _LEVELS, "form": {"class": [0.0, 0.5]},
+         "chord": {"t_max": 2.0}},
+        "earliest flow chord between the momentum tori",
+        "t* = 1.0 +- 1e-9, within 1/floor"),
+    "nonauto-suspension": _Experiment(
+        _run_nonauto,
+        ("space", "family", "form", "seeds", "integration", "iterates", "thresholds"),
+        {"pairing_min": 2.0 - 1e-2, "formula_agreement": 1e-6},
+        {"space": _STANDARD,
+         # sin^2(pi p1) + 0.2 sin(2 pi s) sin(2 pi p1), expanded to waves
+         "family": {"family": "fourier",
+                    "coeffs": [[0.5, [0, 0], 0, "cos"], [-0.5, [1, 0], 0, "cos"],
+                               [0.1, [1, 0], -1, "cos"], [-0.1, [1, 0], 1, "cos"]]},
+         "form": {"class": [0.0, 1.0]},
+         "seeds": {"kind": "momentum", "per_dim": 32},
+         "iterates": {"n0": 100, "n_max": 10000}},
+        "time-one-map rotation pairing of the time-periodic profile flow",
+        ">= 2 - 1e-2; loop and double-integral formulas agree to 1e-6"),
 }
+# custom runs the example1-bound search on sections that must all be given
+_EXPERIMENTS["custom"] = replace(
+    _EXPERIMENTS["example1-bound"], defaults=None,
+    summary="user-supplied space/family/form/seeds, extremal-orbit search",
+    expected="config-dependent")
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(config, out_dir=None) -> Report:
@@ -671,7 +716,7 @@ def run(config, out_dir=None) -> Report:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    results, notes, artifacts = _RUNNERS[cfg["experiment"]](cfg, out)
+    results, notes, artifacts = _EXPERIMENTS[cfg["experiment"]].runner(cfg, out)
     runtime = time.perf_counter() - start
     passed = all(entry.get("pass", True) for entry in results.values()
                  if isinstance(entry, dict))
@@ -690,42 +735,7 @@ def run(config, out_dir=None) -> Report:
     return report
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def list_experiments():
     """Catalog of builtin experiments with their expected headline numbers."""
-    return [
-        {"name": "example1-bound",
-         "summary": "largest rotation pairing of the standard-torus pinned flow",
-         "expected": "full-class pairing >= 2; best ~ pi within 1e-3"},
-        {"name": "example1-sharpness",
-         "summary": "minimal-slope admissible profile caps every orbit's pairing",
-         "expected": "certified max|u'| <= 2.1; every seed <= 2.1 + 1e-6"},
-        {"name": "example3-twisted",
-         "summary": "quasi-periodic rotation vector on the sheared 4-torus",
-         "expected": "rho ~ pi*sin(0.4*pi) * (0, 0, 1, -gamma) within 1e-3"},
-        {"name": "pb-upper",
-         "summary": "certified minimax bracket bound for the standard pair of tori",
-         "expected": "pb-upper in [0.999, 1.05]"},
-        {"name": "chord",
-         "summary": "earliest flow chord between the momentum tori",
-         "expected": "t* = 1.0 +- 1e-9, within 1/floor"},
-        {"name": "nonauto-suspension",
-         "summary": "time-one-map rotation pairing of the time-periodic profile flow",
-         "expected": ">= 2 - 1e-2; loop and double-integral formulas agree to 1e-6"},
-        {"name": "custom",
-         "summary": "user-supplied space/family/form/seeds, extremal-orbit search",
-         "expected": "config-dependent"},
-    ]
+    return [{"name": name, "summary": record.summary, "expected": record.expected}
+            for name, record in _EXPERIMENTS.items()]

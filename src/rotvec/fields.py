@@ -14,6 +14,8 @@ from scipy.optimize import linprog
 from .errors import InfeasiblePins
 from .trig import TWO_PI, TrigPoly
 
+SLOPE_GRID = 4096  # grid of the profile LP's slope rows and of its slope certificate
+
 
 class HamiltonianSpec:
     """A member of an analytic parametric family F(x) or F(x, s).
@@ -123,22 +125,19 @@ def profile_slope_certificate(u_poly: TrigPoly, grid_res=4096):
     curvature correction (h/2)*sup|u''| derived from the Fourier coefficients,
     so ``certified`` dominates the true sup norm.
     """
-    du = u_poly.partial(0)
-    t = np.arange(grid_res) / grid_res
-    grid_max = float(np.abs(du.eval(t[:, None])).max())
-    pad = 0.5 / grid_res * du.grad_l1_bound()
+    from .pbracket import _certified_sup  # pbracket imports this module
+    grid_max, pad = _certified_sup(u_poly.partial(0), grid_res)
     return grid_max, pad, grid_max + pad
 
 
-def make_pinned_profile(pins, slope_target=None, n_modes=12, dim=2, coord=0,
-                        slope_grid=4096):
+def make_pinned_profile(pins, slope_target=None, n_modes=12, dim=2, coord=0):
     """Build F = u(p_coord) from pin constraints u(t_i) = v_i.
 
     Pins are enforced exactly by linear elimination. Without a slope target
     the minimum-norm coefficient vector is returned; with one, the profile of
     minimal max|u'| over the pinned family is found by linear programming
     (the pointwise max of |u'| over a grid is linear in the coefficients), and
-    the achieved slope is certified on ``slope_grid`` points with a curvature
+    the achieved slope is certified on ``SLOPE_GRID`` points with a curvature
     pad. The certificate is reported in the metadata; hitting the requested
     target is checked there, not guaranteed a priori.
     """
@@ -159,14 +158,14 @@ def make_pinned_profile(pins, slope_target=None, n_modes=12, dim=2, coord=0,
     if slope_target is None:
         theta, *_ = np.linalg.lstsq(P, vals, rcond=None)
     else:
-        theta = _min_slope_lp(P, vals, n_modes, slope_grid)
+        theta = _min_slope_lp(P, vals, n_modes, SLOPE_GRID)
 
     residual = np.abs(P @ theta - vals).max() if len(pts) else 0.0
     if residual > 1e-10:
         raise InfeasiblePins(f"pin residual {residual:.3e} after elimination")
 
     u_poly = _profile_poly(theta, n_modes)
-    grid_max, pad, certified = profile_slope_certificate(u_poly, slope_grid)
+    grid_max, pad, certified = profile_slope_certificate(u_poly, SLOPE_GRID)
     meta = {
         "pins": pins,
         "n_modes": n_modes,
@@ -211,18 +210,13 @@ def parse_family(spec, dim):
 
     Schema: ``{"family": "fourier", "coeffs": [[c, [k...], m, "cos"], ...]}``
     or ``{"family": "pinned-profile", "pins": [[t, v], ...], "n_modes": ...,
-    "slope_target": ..., "coord": ...}``.
+    "slope_target": ..., "coord": ...}``, where the last three are optional
+    and default as in ``make_pinned_profile``.
     """
     family = spec.get("family")
     if family == "fourier":
-        terms = [(c, k, m, kind) for c, k, m, kind in spec["coeffs"]]
-        return fourier_hamiltonian(dim, terms)
+        return fourier_hamiltonian(dim, spec["coeffs"])
     if family == "pinned-profile":
-        return make_pinned_profile(
-            [(t, v) for t, v in spec["pins"]],
-            slope_target=spec.get("slope_target"),
-            n_modes=spec.get("n_modes", 12),
-            dim=dim,
-            coord=spec.get("coord", 0),
-        )
+        options = {key: spec[key] for key in ("slope_target", "n_modes", "coord") if key in spec}
+        return make_pinned_profile(spec["pins"], dim=dim, **options)
     raise ValueError(f"unknown Hamiltonian family {family!r}")

@@ -22,6 +22,7 @@ from .trig import TrigPoly, lattice_indices
 DEFAULT_GAMMA = np.sqrt(2.0) - 1.0
 
 _MATRIX_TOL = 1e-12
+MEMBERSHIP_TOL = 1e-9  # largest coordinate defect of a point counted on a region
 
 
 class SymplecticStructure:
@@ -268,17 +269,16 @@ class RegionSpec:
     dimension) used for seeding searches and for hard constraint validation.
     """
 
-    def __init__(self, space, kind, constraints, grid, predicate=None, membership_tol=1e-9):
+    def __init__(self, space, kind, constraints, grid, predicate=None):
         self.space = space
         self.kind = kind
         self.constraints = tuple(constraints)  # (coord index, value) pairs
         self.grid = np.asarray(grid, dtype=float).reshape(-1, space.dim)
         self.predicate = predicate
-        self.membership_tol = membership_tol
         if len(self.grid) == 0:
             raise ValueError("region sample grid is empty")
         defects = self.defect(self.grid)
-        if np.any(defects > membership_tol):
+        if np.any(defects > MEMBERSHIP_TOL):
             raise ValueError(
                 f"region grid contains points off the region (max defect {defects.max():.3e})"
             )
@@ -300,7 +300,7 @@ class RegionSpec:
         return out
 
     def contains(self, X, tol=None):
-        tol = self.membership_tol if tol is None else tol
+        tol = MEMBERSHIP_TOL if tol is None else tol
         return self.defect(X) <= tol
 
     def is_disjoint_from(self, other, tol=1e-9):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import (Trajectory, VectorFieldSpec, birkhoff_stream,
+from .dynamics import (Trajectory, VectorFieldSpec, _trapezoid_weights, birkhoff_stream,
                        hamiltonian_field, integrate)
 from .errors import DimensionError, EmptyTrajectory
 from .fields import HamiltonianSpec
@@ -57,19 +57,10 @@ class EmpiricalMeasure:
 
 
 def empirical_measure(traj: Trajectory) -> EmpiricalMeasure:
-    """mu_{x,T} from a trajectory: trapezoid weights over the nodes."""
+    """mu_{x,T} from a trajectory of ``integrate``: trapezoid weights over its nodes."""
     if len(traj) == 0:
         raise EmptyTrajectory("cannot build a measure from an empty trajectory")
-    n = len(traj)
-    if n == 1:
-        w = np.ones(1)
-    else:
-        # trapezoid rule on the (possibly non-uniform) time grid
-        dt = np.diff(traj.times)
-        w = np.zeros(n)
-        w[:-1] += 0.5 * dt
-        w[1:] += 0.5 * dt
-        w /= w.sum()
+    w = np.ones(1) if len(traj) == 1 else _trapezoid_weights(traj.T, traj.h)
     return EmpiricalMeasure(
         traj.space, traj.lifts, w,
         provenance={"x0": traj.lifts[0].tolist(), "T": traj.T, "h": traj.h,
@@ -128,7 +119,8 @@ def rotation_vector(mu: EmpiricalMeasure, F: HamiltonianSpec) -> RotationVector:
     """
     grads = F.grad(mu.lifts)
     velocities = grads @ mu.space.omega.inverse.T
-    return RotationVector(mu.weights @ velocities)
+    # pairwise sums: a BLAS product over ~1e6 nodes accumulates rounding of order 1e-11
+    return RotationVector(np.array([np.sum(mu.weights * v) for v in velocities.T]))
 
 
 # ---------------------------------------------------------------------------

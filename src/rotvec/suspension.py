@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Trajectory, VectorFieldSpec, _steps_per_unit, birkhoff_stream,
-                       hamiltonian_field, integrate)
+from .dynamics import (Trajectory, VectorFieldSpec, _steps_per_unit, _trapezoid_weights,
+                       birkhoff_stream, hamiltonian_field, integrate)
 from .errors import QuadratureWarning
 from .fields import HamiltonianSpec
 from .geometry import (ClosedOneForm, PhasePoint, PhaseSpace, RegionSpec,
@@ -208,23 +208,28 @@ def loop_integral(alpha: ClosedOneForm, lifts_start, lifts_end):
 
 
 def rotation_pairing_time_one(mu: EmpiricalMeasure, F: HamiltonianSpec,
-                              alpha: ClosedOneForm, h=1e-2, agreement_tol=1e-4) -> float:
-    """<[alpha], rho(mu, phi)> for the time-one map phi of F.
+                              alpha: ClosedOneForm, h=1e-2, agreement_tol=1e-4):
+    """<[alpha], rho(mu, phi)> for the time-one map phi of F, by both formulas.
 
-    Both defining formulas are computed: the average over mu-samples of the
-    loop integral of alpha along the unit arc gamma_x, and the double integral
-    over (x, t) of alpha(sgrad F_t) along the arcs (composite Simpson in t).
-    Their difference is pure quadrature error; beyond ``agreement_tol`` a
-    QuadratureWarning is issued. The loop-integral value is returned.
+    Returns (loop, double): the average over mu-samples of the loop integral
+    of alpha along the unit arc gamma_x, and the double integral over (x, t)
+    of alpha(sgrad F_t) along the same arcs (composite Simpson in t). Their
+    difference is pure quadrature error; beyond ``agreement_tol`` a
+    QuadratureWarning is issued.
     """
     arcs = _unit_arcs(mu, F, h)
     loop_route = float(mu.weights @ loop_integral(alpha, arcs[0], arcs[-1]))
-    double_route = _double_route(arcs, mu.weights, F, alpha, mu.space, h)
+    m = arcs.shape[0] - 1
+    flat = arcs.reshape(-1, arcs.shape[-1])
+    times = np.tile(np.arange(m + 1) * h, (arcs.shape[1], 1)).T.reshape(-1)
+    velocities = F.grad(flat, times) @ mu.space.omega.inverse.T
+    integrand = np.einsum("ij,ij->i", alpha.coefficients(flat), velocities)
+    double_route = float(mu.weights @ (_simpson_weights(m, h) @ integrand.reshape(m + 1, -1)))
     if abs(double_route - loop_route) > agreement_tol:
         warnings.warn(
             f"rotation-pairing formulas disagree: loop {loop_route}, "
             f"double integral {double_route}", QuadratureWarning)
-    return loop_route
+    return loop_route, double_route
 
 
 def _unit_arcs(mu, F, h):
@@ -242,17 +247,6 @@ def _unit_arcs(mu, F, h):
         return np.stack([traj.lifts[k * m:(k + 1) * m + 1] for k in range(mu.n_samples)],
                         axis=1)
     return integrate(hamiltonian_field(F, mu.space), mu.lifts, 1.0, h).lifts
-
-
-def _double_route(arcs, weights, F, alpha, space, h):
-    """The (x, t) double integral of alpha(sgrad F_t) over (m+1, B, dim) unit arcs."""
-    m = arcs.shape[0] - 1
-    flat = arcs.reshape(-1, arcs.shape[-1])
-    times = np.tile(np.arange(m + 1) * h, (arcs.shape[1], 1)).T.reshape(-1)
-    velocities = F.grad(flat, times) @ space.omega.inverse.T
-    integrand = np.einsum("ij,ij->i", alpha.coefficients(flat), velocities)
-    integrand = integrand.reshape(m + 1, arcs.shape[1])
-    return float(weights @ (_simpson_weights(m, h) @ integrand))
 
 
 def _simpson_weights(m, h):
@@ -307,12 +301,8 @@ class CylinderMeasure:
 def cylinder_measure_from_suspension(traj: Trajectory, n_base: int) -> CylinderMeasure:
     """Push an N-trajectory measure forward along tau: (x, r, s) -> (x, s)."""
     idx = _embedding(n_base)
-    dt = np.diff(traj.times)
-    w = np.zeros(len(traj))
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
-    w /= w.sum()
-    return CylinderMeasure(traj.lifts[:, idx], traj.lifts[:, 2 * n_base + 1], w)
+    return CylinderMeasure(traj.lifts[:, idx], traj.lifts[:, 2 * n_base + 1],
+                           _trapezoid_weights(traj.T, traj.h))
 
 
 def step7_correspondence_check(sigma: CylinderMeasure, mu: EmpiricalMeasure,

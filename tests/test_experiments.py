@@ -1,11 +1,13 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rotvec as rv
 from rotvec.cli import main as cli_main
-from rotvec.errors import ConfigError
+from rotvec.errors import ConfigError, RotvecError
 
 
 FAST_BOUND = {
@@ -98,6 +100,118 @@ RAW_ERROR_PROBES = [  # configs that used to validate and then fail with a raw e
                          ids=[path for _, path in RAW_ERROR_PROBES])
 def test_validate_rejects_run_time_failures(config, path):
     assert _config_error_path(config) == path
+
+
+PINNED = {"family": "pinned-profile", "pins": [[0.0, 0.0], [0.5, 1.0]]}
+FIELD_TYPE_PROBES = [  # configs that used to validate and then raise or run with a wrong meaning
+    ({"experiment": "example1-bound", "integration": {"T0": "x"}}, "/integration/T0"),
+    ({"experiment": "example1-bound", "form": {"class": 3}}, "/form/class"),
+    ({"experiment": "example1-bound", "form": {"class": ["a", 1]}}, "/form/class"),
+    ({**CUSTOM, "family": {"family": "fourier", "coeffs": [["a", [0, 0], 0, "cos"]]}},
+     "/family/coeffs/0"),
+    ({**CUSTOM, "family": {"family": "fourier", "coeffs": [[0.5, [0, 0], 0, "tan"]]}},
+     "/family/coeffs/0"),
+    ({**CUSTOM, "family": {"family": "fourier", "coeffs": [[0.5, [0.5, 0], 0, "cos"]]}},
+     "/family/coeffs/0"),
+    ({"experiment": "example1-bound", "integration": {"tol": "x"}}, "/integration/tol"),
+    ({**CUSTOM, "family": {**PINNED, "pins": "x"}}, "/family/pins"),
+    ({**CUSTOM, "family": {**PINNED, "n_modes": "a"}}, "/family/n_modes"),
+    ({**CUSTOM, "family": {**PINNED, "coord": 7}}, "/family/coord"),
+    ({"experiment": "example3-twisted", "space": {"gamma": "x"}}, "/space/gamma"),
+    ({"experiment": "example1-sharpness", "family": CUSTOM["family"]}, "/family/family"),
+    ({"experiment": "pb-upper", "regions": {"Xp": {"levels": [-1.0]}}}, "/regions/Xp"),
+    ({"experiment": "example3-twisted", "space": {"n": 1, "omega": "standard"},
+      "family": CUSTOM["family"]}, "/space/n"),
+    ({"experiment": "chord", "space": {"omega": {"matrix": [[0.0, 1.0], [1.0, 0.0]]}}},
+     "/space/omega/matrix"),
+]
+
+
+@pytest.mark.parametrize("config, path", FIELD_TYPE_PROBES,
+                         ids=[f"{i}{path}" for i, (_, path) in enumerate(FIELD_TYPE_PROBES)])
+def test_validate_checks_every_field_read(config, path):
+    assert _config_error_path(config) == path
+
+
+def test_validate_fills_the_defaults_the_builders_use():
+    cfg = rv.validate_config({**CUSTOM, "seeds": {"kind": "full"}})
+    assert cfg["seeds"]["per_dim"] == 32 and cfg["form"]["potential"] is None
+    assert rv.validate_config({"experiment": "chord"})["regions"]["X"]["per_dim"] == 32
+    # the caller's config is left as it was
+    assert "potential" not in CUSTOM["form"]
+
+
+# scaled-down valid configs of every experiment, each run in well under a second
+SMALL = {
+    "example1-bound": {"experiment": "example1-bound", "seeds": {"kind": "full", "per_dim": 3},
+                       "integration": {"h": 0.1, "T0": 1.0, "T_max": 2.0}},
+    "example1-sharpness": {"experiment": "example1-sharpness",
+                           "family": {"n_modes": 4, "slope_target": 2.5},
+                           "seeds": {"kind": "momentum", "per_dim": 3},
+                           "integration": {"h": 0.1, "T0": 1.0, "T_max": 2.0}},
+    "example3-twisted": {"experiment": "example3-twisted", "orbit": {"T": 2.0},
+                         "integration": {"h": 0.1}},
+    "pb-upper": {"experiment": "pb-upper", "optimizer": {"n_modes": 4, "cert_grid_res": 64}},
+    "chord": {"experiment": "chord", "integration": {"h": 0.1},
+              "regions": {"X": {"levels": [0.0], "per_dim": 4},
+                          "Xp": {"levels": [0.5], "per_dim": 4}}},
+    "nonauto-suspension": {"experiment": "nonauto-suspension",
+                           "seeds": {"kind": "momentum", "per_dim": 2},
+                           "iterates": {"n0": 1, "n_max": 2}, "integration": {"h": 0.1}},
+    "custom": {**CUSTOM, "seeds": {"kind": "full", "per_dim": 3},
+               "integration": {"h": 0.1, "T0": 1.0, "T_max": 2.0, "tol": 1e-4}},
+}
+BAD_LEAVES = st.one_of(st.sampled_from(["x", True, False, None, 0, 0.5, [], [[0.5, 1]]]),
+                       st.integers(-5, -1), st.floats(-5.0, -0.01))
+
+
+def _leaves(node, path=()):
+    """Paths to every non-object value of a config, list elements included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+        return
+    yield path
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+
+
+@pytest.mark.parametrize("name", list(SMALL))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_accepted_configs_run_or_raise_typed_errors(name, data):
+    # a config that passes validation must run or fail with a RotvecError
+    config = copy.deepcopy(rv.validate_config(SMALL[name]))
+    path = data.draw(st.sampled_from(list(_leaves(config))))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(BAD_LEAVES)
+    try:
+        cfg = rv.validate_config(config)
+    except ConfigError as exc:
+        assert exc.path == f"/{path[0]}" or exc.path.startswith(f"/{path[0]}/"), (path, exc)
+        return
+    try:
+        rv.run(cfg)
+    except RotvecError:
+        pass
+
+
+def test_nonauto_range_grid_stays_small(monkeypatch):
+    # F active in p1, q1 and s: 512 points per axis would be 512**3 grid points (8 GB)
+    grid_values = rv.TrigPoly.grid_values
+
+    def bounded(poly, grid_res):
+        assert grid_res ** (len(poly.active_dims()) + poly.is_time_dependent) <= 2 ** 18
+        return grid_values(poly, grid_res)
+
+    monkeypatch.setattr(rv.TrigPoly, "grid_values", bounded)
+    waves = [[0.5, [0, 0], 0, "cos"], [-0.5, [1, 0], 0, "cos"], [0.1, [1, 1], -1, "cos"]]
+    report = rv.run({**SMALL["nonauto-suspension"], "family": {"family": "fourier",
+                                                               "coeffs": waves}})
+    assert "r_bound" in report.results
 
 
 def test_doubling_horizons_need_a_positive_start():

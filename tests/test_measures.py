@@ -29,6 +29,22 @@ def test_trapezoid_weights():
     assert mu.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("T", [10.0, 10.005])
+def test_trapezoid_weights_exact_on_uniform_grids(T):
+    # h/2, h, ..., h, h/2 over T from the step count: no full step carries the rounding
+    # of a difference of node times; a last short step weighs its own length
+    h = 0.01
+    H = rv.SuspendedHamiltonian(sin2(), rv.torus(1))
+    traj = rv.suspension_flow(H, rv.extended_point([0.2, 0.0], 0.0, 0.0, H.nspace), T, h)
+    last = T - 1000 * h if len(traj) == 1002 else h
+    expected = np.full(len(traj), h)
+    expected[0] = 0.5 * h
+    expected[-2:] = 0.5 * h + 0.5 * last, 0.5 * last
+    assert len(traj) == (1001 if T == 10.0 else 1002)
+    assert np.array_equal(rv.empirical_measure(traj).weights, expected / T)
+    assert np.array_equal(rv.cylinder_measure_from_suspension(traj, 1).weights, expected / T)
+
+
 def test_point_mass_from_constant_trajectory():
     sp = rv.torus(1)
     zero = rv.fourier_hamiltonian(2, [(0.0, [0, 0], 0, "cos")])

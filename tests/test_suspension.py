@@ -127,7 +127,7 @@ def test_rotation_pairing_time_one_autonomous_consistency():
     sp = rv.torus(1)
     alpha = rv.one_form([0.0, 1.0])
     orbit = rv.time_one_orbit(F, sp, [0.2, 0.0], 50, 1e-2)
-    v_map = rv.rotation_pairing_time_one(orbit.measure(), F, alpha)
+    v_map, _ = rv.rotation_pairing_time_one(orbit.measure(), F, alpha)
     traj = rv.integrate(rv.hamiltonian_field(F, sp), [0.2, 0.0], 50.0, 1e-2)
     v_flow = rv.rotation_pairing(rv.empirical_measure(traj), F, alpha)
     assert abs(v_map - v_flow) < 1e-6
@@ -137,7 +137,7 @@ def test_rotation_pairing_time_one_zero_map():
     zero = rv.fourier_hamiltonian(2, [(0.0, [0, 0], 0, "cos")])
     sp = rv.torus(1)
     orbit = rv.time_one_orbit(zero, sp, [0.3, 0.6], 10, 1e-2)
-    val = rv.rotation_pairing_time_one(orbit.measure(), zero, rv.one_form([0.0, 1.0]))
+    val, _ = rv.rotation_pairing_time_one(orbit.measure(), zero, rv.one_form([0.0, 1.0]))
     assert val == pytest.approx(0.0, abs=1e-14)
 
 
@@ -150,8 +150,8 @@ def test_rotation_pairing_time_one_without_source_orbit():
     mu_with = orbit.measure()
     from rotvec.measures import measure_from_iterates
     mu_bare = measure_from_iterates(sp, mu_with.lifts)
-    v1 = rv.rotation_pairing_time_one(mu_with, F, alpha)
-    v2 = rv.rotation_pairing_time_one(mu_bare, F, alpha)
+    v1, _ = rv.rotation_pairing_time_one(mu_with, F, alpha)
+    v2, _ = rv.rotation_pairing_time_one(mu_bare, F, alpha)
     assert abs(v1 - v2) < 1e-10
 
 
@@ -174,9 +174,7 @@ def test_formulas_agree_on_nonautonomous_orbit():
     alpha = rv.one_form([0.0, 1.0])
     orbit = rv.time_one_orbit(F, sp, [0.25, 0.0], 100, 1e-2)
     mu = orbit.measure()
-    from rotvec.experiments import _double_route_value
-    loop = rv.rotation_pairing_time_one(mu, F, alpha)
-    double = _double_route_value(mu, F, alpha, sp, 1e-2)
+    loop, double = rv.rotation_pairing_time_one(mu, F, alpha)
     assert abs(loop - double) < 1e-6
 
 
