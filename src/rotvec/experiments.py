@@ -46,6 +46,7 @@ class _Experiment:
     summary: str
     expected: str
     families: tuple = ("fourier", "pinned-profile")  # the family kinds it accepts
+    disjoint: bool = False  # the regions X and X' must be disjoint
     doubling: bool = False  # integration T0, 2 T0, ... <= T_max are search horizons
     space_n: int | None = None  # the n its closed-form check is written for
 
@@ -64,7 +65,8 @@ def builtin_config(experiment):
     record = _EXPERIMENTS[experiment]
     config = {"experiment": experiment, "integration": dict(_INTEGRATION)}
     if record.defaults is not None:
-        config.update(copy.deepcopy(record.defaults), thresholds=dict(record.thresholds))
+        config.update(copy.deepcopy(record.defaults),
+                      thresholds=copy.deepcopy(record.thresholds))
     return config
 
 
@@ -220,7 +222,8 @@ def _check_iterates(cfg, record):
 
 def _check_regions(cfg, record):
     """X and X' are ``constraints`` [[index, value], ...] or ``levels`` of the n
-    momenta; they are disjoint when they pin a shared coordinate to two values."""
+    momenta; where the record needs them disjoint, they must pin a shared
+    coordinate to two values."""
     n, kind = cfg["space"]["n"], cfg["space"]["kind"]
     pinned = []
     for name in ("X", "Xp"):
@@ -238,6 +241,8 @@ def _check_regions(cfg, record):
             pinned.append(dict(enumerate(spec["levels"])))
         spec.setdefault("per_dim", 32)
         _require(_is_int(spec["per_dim"], 1), f"{path}/per_dim", "must be a positive integer")
+    if not record.disjoint:
+        return
     X, Xp = pinned
     gaps = [abs(geometry.circular_residual(v, Xp[i]) if kind == "torus" or i >= n else v - Xp[i])
             for i, v in X.items() if i in Xp]  # the momenta of T*T^n are not periodic
@@ -284,15 +289,12 @@ _CHECKS = {"space": _check_space, "family": _check_family, "form": _check_form,
 def _build_space(cfg):
     spec = cfg["space"]
     omega = spec["omega"]
-    if omega == "standard":
-        structure = None
-    elif omega == "twisted-gamma":
-        structure = twisted_structure(spec["gamma"])
-    else:
+    if isinstance(omega, dict):
         structure = geometry.SymplecticStructure(np.asarray(omega["matrix"], dtype=float))
-    if spec["kind"] == "torus":
-        return torus(spec["n"], structure)
-    return geometry.cotangent_of_torus(spec["n"], structure)
+    else:
+        structure = twisted_structure(spec["gamma"]) if omega == "twisted-gamma" else None
+    build = torus if spec["kind"] == "torus" else geometry.cotangent_of_torus
+    return build(spec["n"], structure)
 
 
 def _build_form(cfg, dim):
@@ -360,14 +362,10 @@ def _json_safe(obj):
 
 
 def _result(value, provenance, threshold=None, tolerance=None, passed=None):
-    entry = {"value": value, "provenance": provenance}
-    if threshold is not None:
-        entry["threshold"] = threshold
-    if tolerance is not None:
-        entry["tolerance"] = tolerance
-    if passed is not None:
-        entry["pass"] = bool(passed)
-    return entry
+    optional = {"threshold": threshold, "tolerance": tolerance,
+                "pass": None if passed is None else bool(passed)}
+    return {"value": value, "provenance": provenance,
+            **{key: v for key, v in optional.items() if v is not None}}
 
 
 def _write_dat(path, header, columns):
@@ -583,10 +581,12 @@ def _run_nonauto(cfg, out):
     straj = suspension_flow(H, z0, 1000.0, integ["h"])
     unit_idx = np.arange(0, len(straj), round(1.0 / integ["h"]))
     h_drift = float(np.max(np.abs(straj.energies[unit_idx] - straj.energies[0])))
-    r_values = straj.lifts[:, space.n]
+    r_max = float(np.max(np.abs(straj.lifts[:, space.n])))
     n_axes = max(1, len(F.poly.active_dims()) + F.poly.is_time_dependent)
-    f_values = F.poly.grid_values(min(512, int(2 ** (18 / n_axes))))  # <= 2**18 points
-    f_range = float(f_values.max() - f_values.min())  # bounds |r| on orbits from r = 0
+    grid_res = min(512, int(2 ** (18 / n_axes)))  # <= 2**18 points
+    # max F - min F bounds |r| on orbits from r = 0; the grid range falls short
+    # of it by at most twice the Lipschitz pad, so the sum is an upper bound
+    f_range = float(np.ptp(F.poly.grid_values(grid_res))) + F.poly.grad_l1_bound() / grid_res
     equiv = shift_equivariance_check(H, z0, 1.0, 10.0, integ["h"])
 
     results = {
@@ -603,9 +603,9 @@ def _run_nonauto(cfg, out):
             h_drift, "suspension.suspension_flow", threshold="<= 1e-8",
             passed=h_drift <= 1e-8),
         "r_bound": _result(
-            float(np.max(np.abs(r_values))), "suspension.suspension_flow",
-            threshold=f"<= {f_range + 1e-6} (max F - min F + 1e-6)",
-            passed=np.max(np.abs(r_values)) <= f_range + 1e-6),
+            r_max, "suspension.suspension_flow",
+            threshold=f"<= {f_range + 1e-6} (grid range of F + Lipschitz pad + 1e-6)",
+            passed=r_max <= f_range + 1e-6),
         "shift_equivariance": _result(
             equiv, "suspension.shift_equivariance_check", threshold="<= 1e-8",
             passed=equiv <= 1e-8),
@@ -672,7 +672,7 @@ _EXPERIMENTS = {
          "optimizer": {"cert_grid_res": 8192, "n_modes": 32,
                        "pins": [[0.0, 0.0], [0.5, 1.0]]}},
         "certified minimax bracket bound for the standard pair of tori",
-        "pb-upper in [0.999, 1.05]"),
+        "pb-upper in [0.999, 1.05]", disjoint=True),
     "chord": _Experiment(
         _run_chord, ("space", "form", "regions", "integration", "chord", "thresholds"),
         {"t_star_target": 1.0, "t_star_tol": 1e-9, "pb_floor": 1.0},

@@ -85,16 +85,15 @@ def bracket(F: HamiltonianSpec, alpha: ClosedOneForm, space: PhaseSpace, x, s=0.
     return first
 
 
-def sup_norm(F, alpha, space, grid_res=512, lipschitz_pad=True):
+def sup_norm(F, alpha, space, grid_res=512):
     """Certified uniform norm of {F, alpha} over phase space (and time).
 
     The bracket polynomial is evaluated on a uniform grid over its *active*
-    coordinates only (inactive ones cannot change the value); with
-    ``lipschitz_pad`` the grid maximum is inflated by (h/2) * L, L the exact
-    coefficient bound on the gradient, giving an upper bound of the true sup.
+    coordinates only (inactive ones cannot change the value); the grid
+    maximum is inflated by (h/2) * L, L the exact coefficient bound on the
+    gradient, giving an upper bound of the true sup.
     """
-    grid_max, pad = _certified_sup(bracket_poly(F, alpha, space), grid_res)
-    return grid_max + pad if lipschitz_pad else grid_max
+    return sum(_certified_sup(bracket_poly(F, alpha, space), grid_res))
 
 
 def _certified_sup(poly: TrigPoly, grid_res):

@@ -208,10 +208,15 @@ def test_nonauto_range_grid_stays_small(monkeypatch):
         return grid_values(poly, grid_res)
 
     monkeypatch.setattr(rv.TrigPoly, "grid_values", bounded)
-    waves = [[0.5, [0, 0], 0, "cos"], [-0.5, [1, 0], 0, "cos"], [0.1, [1, 1], -1, "cos"]]
-    report = rv.run({**SMALL["nonauto-suspension"], "family": {"family": "fourier",
-                                                               "coeffs": waves}})
-    assert "r_bound" in report.results
+    waves = [[0.25, [1, 0], 0, "cos"], [0.2, [2, 0], 0, "sin"], [0.1, [1, 1], -1, "cos"]]
+    report = rv.run({**SMALL["nonauto-suspension"], "integration": {"h": 0.05},
+                     "family": {"family": "fourier", "coeffs": waves}})
+    # the coarser grid still bounds max F - min F: its range alone falls 2e-4 short
+    F = rv.fourier_hamiltonian(2, [tuple(w) for w in waves])
+    p1 = np.linspace(0.0, 1.0, 100001)  # the last wave is +-0.1 on q1 = -p1, 1/2 - p1
+    top = F.eval(np.column_stack([p1, -p1])).max()
+    bottom = F.eval(np.column_stack([p1, 0.5 - p1])).min()
+    assert float(report.results["r_bound"]["threshold"].split()[1]) >= top - bottom
 
 
 def test_doubling_horizons_need_a_positive_start():
@@ -263,6 +268,12 @@ def test_builtin_configs_validate():
             continue
         cfg = rv.validate_config({"experiment": name})
         assert cfg["experiment"] == name
+
+
+def test_builtin_configs_are_fresh_copies():
+    rv.builtin_config("pb-upper")["thresholds"]["value_range"][0] = 5.0
+    rv.validate_config({"experiment": "pb-upper"})["thresholds"]["value_range"][1] = 6.0
+    assert rv.builtin_config("pb-upper")["thresholds"]["value_range"] == [0.999, 1.05]
 
 
 def test_list_experiments_catalog():
@@ -424,6 +435,17 @@ def test_chord_product_of_levels_regions(tmp_path):
     report = rv.run(cfg, out_dir=tmp_path)
     assert report.passed
     assert report.results["t_star"]["value"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_chord_between_regions_pinning_different_coordinates():
+    # X pins p, X' pins q: the regions meet, which a chord allows (its
+    # crossing coordinate is then the one X' pins) and pb-upper does not
+    regions = {"X": {"constraints": [[1, 0.0]]}, "Xp": {"constraints": [[0, 0.5]]}}
+    report = rv.run({"experiment": "chord", "regions": regions,
+                     "thresholds": {"t_star_target": 0.0625}})
+    assert report.passed
+    assert report.results["t_star"]["value"] == pytest.approx(1 / 16, abs=1e-9)
+    assert _config_error_path({"experiment": "pb-upper", "regions": regions}) == "/regions/Xp"
 
 
 def test_chord_on_cotangent_bundle_config():
