@@ -180,7 +180,10 @@ def _trapezoid_weights(T, h):
 def midpoint_step(vel, X, t, h, v_node=None):
     """One implicit midpoint step for the batch X; returns (X_next, v_node).
 
-    Fixed-point iteration to FP_TOL with at most FP_MAX_ITER sweeps; raises
+    h is a scalar, or a (B, 1) column giving each row its own step; a column
+    is for autonomous fields only, since the midpoint time t + h/2 is then a
+    column too. Fixed-point iteration to FP_TOL with at most FP_MAX_ITER
+    sweeps (the batch iterates until its slowest row converges); raises
     StiffStep on non-convergence and BlowUp on non-finite states.
     """
     if v_node is None:

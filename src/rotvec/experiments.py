@@ -24,7 +24,7 @@ import numpy as np
 from . import geometry
 from .dynamics import _steps_per_unit, hamiltonian_field, integrate, locally_hamiltonian_field
 from .errors import ConfigError, DimensionError
-from .fields import fourier_hamiltonian, parse_family
+from .fields import PROFILE_MODES, fourier_hamiltonian, parse_family, pin_conflict
 from .geometry import (CohomologyClass, momentum_level_torus, one_form, torus,
                        twisted_structure)
 from .measures import (doubling_horizons, empirical_measure, extremal_orbit_search,
@@ -49,6 +49,9 @@ class _Experiment:
     disjoint: bool = False  # the regions X and X' must be disjoint
     doubling: bool = False  # integration T0, 2 T0, ... <= T_max are search horizons
     space_n: int | None = None  # the n its closed-form check is written for
+    # its closed form is the translation by Omega^{-1} grad F(x0): F depends on
+    # momenta only and Omega^{-1} maps momentum covectors to position directions
+    translation: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +140,9 @@ def _check_space(cfg, record):
             _build_space(cfg)
         except (ValueError, DimensionError) as exc:  # wrong size, not antisymmetric, singular
             raise ConfigError("/space/omega/matrix", str(exc)) from None
+        # (Omega^{-1})_pp = 0 exactly when the position-position block of Omega is 0
+        _require(not record.translation or not np.any(np.asarray(matrix)[n:, n:]),
+                 "/space/omega/matrix", "its position-position block must be 0")
     else:
         _require(omega in ("standard", "twisted-gamma"), "/space/omega",
                  'must be "standard", "twisted-gamma" or {"matrix": [...]}')
@@ -147,20 +153,26 @@ def _check_space(cfg, record):
 
 
 def _check_family(cfg, record):
-    family, dim = cfg["family"], 2 * cfg["space"]["n"]
+    family, n = cfg["family"], cfg["space"]["n"]
+    dim = 2 * n
     _require(family.get("family") in record.families, "/family/family",
              f"must be {' or '.join(record.families)}")
     if family["family"] == "fourier":
         _check_waves(family.get("coeffs"), True, dim, "/family/coeffs")
+        if record.translation:
+            for i, (_, k, m, _) in enumerate(family["coeffs"]):
+                _require(not any(k[n:]) and m == 0, f"/family/coeffs/{i}",
+                         "must depend on momenta only, not on positions or time")
         return
-    _check_pins(family.get("pins"), "/family/pins")
     # the optional fields keep the defaults of fields.make_pinned_profile
     _require("n_modes" not in family or _is_int(family["n_modes"], 1), "/family/n_modes",
              "must be a positive integer")
+    _check_pins(family.get("pins"), "/family/pins", family.get("n_modes", PROFILE_MODES))
     _require(family.get("slope_target") is None or _is_number(family["slope_target"]),
              "/family/slope_target", "must be a number or null")
-    _require("coord" not in family or _is_int(family["coord"], 0) and family["coord"] < dim,
-             "/family/coord", f"must be an integer in [0, {dim})")
+    top = n if record.translation else dim  # a translation needs a profile in a momentum
+    _require("coord" not in family or _is_int(family["coord"], 0) and family["coord"] < top,
+             "/family/coord", f"must be an integer in [0, {top})")
 
 
 def _check_waves(waves, timed, dim, path):
@@ -175,9 +187,14 @@ def _check_waves(waves, timed, dim, path):
                  f"{path}/{i}", f"must be [c, [{dim} integers], {'m, ' * timed}\"cos\" or \"sin\"]")
 
 
-def _check_pins(pins, path):
+def _check_pins(pins, path, n_modes):
+    """[t, v] pairs that a profile of ``n_modes`` modes can meet."""
     _require(isinstance(pins, list) and all(_is_numbers(pin, 2) for pin in pins), path,
              "must be a list of [t, v] pairs")
+    conflict = pin_conflict(pins, n_modes)
+    if conflict:
+        j, reason = conflict
+        raise ConfigError(path if j is None else f"{path}/{j}", reason)
 
 
 def _check_form(cfg, record):
@@ -255,7 +272,7 @@ def _check_optimizer(cfg, record):
     _require(_is_int(opt.get("n_modes"), 1), "/optimizer/n_modes", "must be a positive integer")
     _require(_is_int(opt.get("cert_grid_res"), 16) and opt["cert_grid_res"] <= 2 ** 26,
              "/optimizer/cert_grid_res", "must be an integer in [16, 2**26]")
-    _check_pins(opt.get("pins"), "/optimizer/pins")
+    _check_pins(opt.get("pins"), "/optimizer/pins", opt["n_modes"])
 
 
 def _check_orbit(cfg, record):
@@ -477,9 +494,7 @@ def _run_example3_twisted(cfg, out):
     x0[0] = orbit["p1"]
     traj = integrate(hamiltonian_field(F, space), x0, orbit["T"], cfg["integration"]["h"])
     rho = rotation_vector(empirical_measure(traj), F)
-    gamma = cfg["space"]["gamma"]
-    speed = np.pi * np.sin(2 * np.pi * orbit["p1"])
-    expected = np.array([0.0, 0.0, speed, -gamma * speed])
+    expected = space.omega.inverse @ F.grad(x0)  # the constant velocity of a translation
     th = cfg["thresholds"]
     q_err = float(np.max(np.abs(rho.coeffs[2:] - expected[2:])))
     p_max = float(np.max(np.abs(rho.coeffs[:2])))
@@ -664,7 +679,7 @@ _EXPERIMENTS = {
                     "coeffs": [[0.5, [0, 0, 0, 0], 0, "cos"], [-0.5, [1, 0, 0, 0], 0, "cos"]]},
          "orbit": {"p1": 0.2, "T": 10000.0}},
         "quasi-periodic rotation vector on the sheared 4-torus",
-        "rho ~ pi*sin(0.4*pi) * (0, 0, 1, -gamma) within 1e-3", space_n=2),
+        "rho ~ pi*sin(0.4*pi) * (0, 0, 1, -gamma) within 1e-3", space_n=2, translation=True),
     "pb-upper": _Experiment(
         _run_pb_upper, ("space", "form", "regions", "optimizer", "thresholds"),
         {"value_range": [0.999, 1.05], "floor": 1.0},

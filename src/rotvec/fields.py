@@ -15,6 +15,7 @@ from .errors import InfeasiblePins
 from .trig import TWO_PI, TrigPoly
 
 SLOPE_GRID = 4096  # grid of the profile LP's slope rows and of its slope certificate
+PROFILE_MODES = 12  # the pinned profile's default number of Fourier modes
 
 
 class HamiltonianSpec:
@@ -130,7 +131,25 @@ def profile_slope_certificate(u_poly: TrigPoly, grid_res=4096):
     return grid_max, pad, grid_max + pad
 
 
-def make_pinned_profile(pins, slope_target=None, n_modes=12, dim=2, coord=0):
+def pin_conflict(pins, n_modes):
+    """Why no profile of ``n_modes`` modes meets the pins [(t, v), ...], or None.
+
+    Returns (j, reason): j is the index of the first pin whose time (mod 1)
+    another pin holds at a different value, or None when there are more pins
+    than the 2 n_modes + 1 profile parameters.
+    """
+    seen = {}
+    for j, (t, v) in enumerate(pins):
+        key = round(t % 1.0, 12)
+        if key in seen and abs(seen[key] - v) > 1e-12:
+            return j, f"u({t}) pinned to both {seen[key]} and {v}"
+        seen[key] = v
+    if len(pins) > 2 * n_modes + 1:
+        return None, f"{len(pins)} pins exceed {2 * n_modes + 1} profile parameters"
+    return None
+
+
+def make_pinned_profile(pins, slope_target=None, n_modes=PROFILE_MODES, dim=2, coord=0):
     """Build F = u(p_coord) from pin constraints u(t_i) = v_i.
 
     Pins are enforced exactly by linear elimination. Without a slope target
@@ -142,17 +161,11 @@ def make_pinned_profile(pins, slope_target=None, n_modes=12, dim=2, coord=0):
     target is checked there, not guaranteed a priori.
     """
     pins = [(float(t), float(v)) for t, v in pins]
-    seen = {}
-    for t, v in pins:
-        key = round(t % 1.0, 12)
-        if key in seen and abs(seen[key] - v) > 1e-12:
-            raise InfeasiblePins(f"u({t}) pinned to both {seen[key]} and {v}")
-        seen[key] = v
+    conflict = pin_conflict(pins, n_modes)
+    if conflict:
+        raise InfeasiblePins(conflict[1])
     pts = np.array([t for t, _ in pins])
     vals = np.array([v for _, v in pins])
-    n_params = 2 * n_modes + 1
-    if len(pts) > n_params:
-        raise InfeasiblePins(f"{len(pts)} pins exceed {n_params} profile parameters")
     P = _profile_basis(pts, n_modes)
 
     if slope_target is None:

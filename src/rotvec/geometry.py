@@ -299,15 +299,12 @@ class RegionSpec:
             out = np.maximum(out, res)
         return out
 
-    def contains(self, X, tol=None):
-        tol = MEMBERSHIP_TOL if tol is None else tol
-        return self.defect(X) <= tol
+    def contains(self, X):
+        return self.defect(X) <= MEMBERSHIP_TOL
 
-    def is_disjoint_from(self, other, tol=1e-9):
+    def is_disjoint_from(self, other):
         """Grid-based disjointness test: no sample of one lies on the other."""
-        return not (
-            np.any(other.defect(self.grid) <= tol) or np.any(self.defect(other.grid) <= tol)
-        )
+        return not (np.any(other.contains(self.grid)) or np.any(self.contains(other.grid)))
 
 
 def _free_dim_grid(space, pinned, per_dim):

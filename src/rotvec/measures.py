@@ -173,9 +173,9 @@ class ConvergenceReport:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def momentum_seed_grid(space, per_dim=32, positions_at=0.0):
-    """Seeds over the momentum torus only, positions pinned (integrable families)."""
-    grid = np.full((per_dim ** space.n, space.dim), float(positions_at))
+def momentum_seed_grid(space, per_dim=32):
+    """Seeds over the momentum torus only, positions at 0 (integrable families)."""
+    grid = np.zeros((per_dim ** space.n, space.dim))
     grid[:, :space.n] = lattice_indices(space.n, per_dim) / per_dim
     return grid
 
@@ -193,6 +193,14 @@ def doubling_horizons(T0, T_max):
     while horizons[-1] < T_max - 1e-9:
         horizons.append(min(2.0 * horizons[-1], T_max))
     return horizons
+
+
+def pairing_integrand(alpha):
+    """(X, V, t) -> alpha_X(V) row by row: the Birkhoff integrand of a rotation pairing."""
+    cls, pot = alpha.cclass.coeffs, alpha.potential
+    if pot is None:
+        return lambda X, V, t: V @ cls
+    return lambda X, V, t: np.einsum("ij,ij->i", cls + pot.grad(X), V)
 
 
 def extremal_orbit_search(F, alpha, space, seeds, T0=100.0, T_max=1e5, h=1e-2,
@@ -213,17 +221,7 @@ def extremal_orbit_search(F, alpha, space, seeds, T0=100.0, T_max=1e5, h=1e-2,
     field = hamiltonian_field(F, space)
     horizons = doubling_horizons(T0, T_max)
 
-    cls = alpha.cclass.coeffs
-    if alpha.potential is None:
-        def integrand(X, V, t):
-            return V @ cls
-    else:
-        pot = alpha.potential
-
-        def integrand(X, V, t):
-            return np.einsum("ij,ij->i", cls + pot.grad(X), V)
-
-    stream = birkhoff_stream(field, seeds, horizons, h, [integrand])
+    stream = birkhoff_stream(field, seeds, horizons, h, [pairing_integrand(alpha)])
     report = ConvergenceReport.from_search(((T, np.abs(avg[0])) for T, avg, _ in stream), tol)
     return wrap(seeds[report.best_seed_index], space), report.best_values[-1], report
 

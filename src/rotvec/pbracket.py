@@ -22,6 +22,7 @@ search is needed. The matching lower bound is theory input
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -31,9 +32,11 @@ from .errors import InfeasibleFamily, InternalInconsistency
 from .fields import HamiltonianSpec, _profile_basis, make_pinned_profile
 from .geometry import (ClosedOneForm, CohomologyClass, PhasePoint, PhaseSpace,
                        RegionSpec, circular_residual, wrap)
+from .measures import pairing_integrand
 from .trig import TrigPoly
 
 CONSTRAINT_TOL = 1e-9  # slack of the admissibility checks F <= 0 on X, F >= 1 on X'
+LANDING_TOL = 1e-6  # largest membership defect of X' at a counted chord landing
 
 
 def bracket_poly(F: HamiltonianSpec, alpha: ClosedOneForm, space: PhaseSpace) -> TrigPoly:
@@ -120,15 +123,7 @@ def averaged_bracket(F, alpha, space, x, T, h) -> float:
     """
     x = np.asarray(getattr(x, "lift", x), dtype=float)
     field = hamiltonian_field(F, space)
-    cls = alpha.cclass.coeffs
-    pot = alpha.potential
-
-    def integrand(X, V, t):
-        if pot is None:
-            return V @ cls
-        return np.einsum("ij,ij->i", cls + pot.grad(X), V)
-
-    for _, avg, _ in birkhoff_stream(field, x[None, :], [T], h, [integrand]):
+    for _, avg, _ in birkhoff_stream(field, x[None, :], [T], h, [pairing_integrand(alpha)]):
         pass
     return float(avg[0, 0])
 
@@ -259,105 +254,74 @@ class Chord:
 
 
 def chord_search(alpha: ClosedOneForm, space: PhaseSpace, X: RegionSpec,
-                 Xp: RegionSpec, t_max=10.0, h=1e-2, landing_tol=1e-6):
+                 Xp: RegionSpec, t_max=10.0, h=1e-2):
     """Earliest chord of the locally Hamiltonian flow of alpha from X to X'.
 
-    Every grid point of X is flowed under sgrad alpha, all in one batch;
-    after each step the rows whose lift of the transversal coordinate (the
-    pinned coordinate on which X and X' genuinely differ) crossed a level of
-    X' are bisected one by one to 1e-10 in time. A crossing counts only if
-    the full membership defect at the landing point is below
-    ``landing_tol``. The search stops at the first step with a counted
-    crossing; ties in arrival time go to the lowest seed index. Returns None
-    when no seed arrives before ``t_max``.
+    Every grid point of X is flowed under sgrad alpha, all in one batch.
+    After each step, every level of X' that a row's lift of a transversal
+    coordinate (a pinned coordinate on which X and X' genuinely differ)
+    passed is a candidate, and all candidates are bisected together to 1e-10
+    in time, one batched midpoint step per halving. A crossing counts only if
+    the full membership defect at its landing point is at most
+    ``LANDING_TOL``. The search stops at the first step with a counted
+    crossing and takes the earliest; among crossings within 1e-15 of it, the
+    lowest seed index wins. Returns None when no seed arrives before ``t_max``.
     """
     if Xp.kind == "predicate":
         raise ValueError("chord search needs a level-type target region")
     field = locally_hamiltonian_field(alpha, space)
     targets = dict(Xp.constraints)
     here = dict(X.constraints)
-    crossing_coords = [
+    coords = np.array([
         i for i, v in targets.items()
         if i in here and abs(circular_residual(here[i], v)) > 1e-9
-    ] or list(targets)
+    ] or list(targets), dtype=int)
 
-    t = X_state = None
-    for t_next, X_next, _ in _nodes(field, X.grid, t_max, h):
-        if X_state is not None:
-            step_h = min(h, t_max - t)
-            best = None
-            for row in np.flatnonzero(_crossed(X_state, X_next, crossing_coords, targets, space)):
-                hit = _first_crossing(field, X_state[row:row + 1], t, step_h,
-                                      X_next[row:row + 1], crossing_coords, targets, Xp,
-                                      space, landing_tol)
-                if hit is not None and (best is None or hit[0] < best[0] - 1e-15):
-                    best = (hit[0], X.grid[row], hit[1])
-            if best is not None:
-                t_star, x0, x_end = best
-                return Chord(start=wrap(x0, space), end=wrap(x_end, space),
-                             t_star=float(t_star))
-        t, X_state = t_next, X_next
+    for (t, X_state, _), (_, X_next, _) in pairwise(_nodes(field, X.grid, t_max, h)):
+        rows, cols, levels = _crossings(X_state, X_next, coords, targets, space)
+        if not len(rows):
+            continue
+        starts = X_state[rows]
+        t_hit = _bisect(field, starts, t, min(h, t_max - t), cols, levels)
+        Y, _ = midpoint_step(field.velocity, starts, t, t_hit[:, None])
+        t_cross = t + t_hit
+        landed = Xp.defect(Y) <= LANDING_TOL
+        if landed.any():
+            tied = np.flatnonzero(landed & (t_cross <= t_cross[landed].min() + 1e-15))
+            k = tied[np.lexsort((t_hit[tied], rows[tied]))[0]]  # lowest seed, then earliest
+            return Chord(start=wrap(X.grid[rows[k]], space), end=wrap(Y[k], space),
+                         t_star=float(t_cross[k]))
     return None
 
 
-def _crossed(X_state, X_next, coords, targets, space):
-    """Rows whose lift of a coordinate in ``coords`` passed a target level (1e-15 slack)."""
-    rows = np.zeros(len(X_state), dtype=bool)
-    for i in coords:
-        a, b = X_state[:, i], X_next[:, i]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        if space.periodic[i]:  # every integer shift of the level lies on the region
-            crossed = np.floor(hi - targets[i] + 1e-15) >= np.ceil(lo - targets[i] - 1e-15)
-        else:
-            crossed = (lo - 1e-15 <= targets[i]) & (targets[i] <= hi + 1e-15)
-        rows |= crossed & (a != b)
-    return rows
+def _crossings(X_state, X_next, coords, targets, space):
+    """(rows, coords, levels) of every target level a row's lift passed in one
+    step, in row-major order (1e-15 slack): on circles every integer shift of
+    the level lies on the region, off circles the level itself."""
+    a, b = X_state[:, coords], X_next[:, coords]
+    level = np.array([targets[i] for i in coords])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    circle = space.periodic[coords]
+    first = np.where(circle, np.ceil(lo - level - 1e-15), 0.0)
+    inside = (lo - 1e-15 <= level) & (level <= hi + 1e-15)
+    last = np.where(circle, np.floor(hi - level + 1e-15), np.where(inside, 0.0, -1.0))
+    count = np.where(a != b, np.maximum(last - first + 1, 0), 0).astype(int).ravel()
+    pair = np.repeat(np.arange(count.size), count)
+    shift = np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count)
+    rows, cols = np.divmod(pair, len(coords))
+    return rows, coords[cols], level[cols] + (first.ravel()[pair] + shift)
 
 
-def _first_crossing(field, X_state, t, h, X_next, coords, targets, Xp, space, landing_tol):
-    """Earliest admissible level crossing inside one step, bisected to 1e-10."""
-    candidates = []
-    for i in coords:
-        a, b = X_state[0, i], X_next[0, i]
-        lo, hi = (a, b) if a <= b else (b, a)
-        if space.periodic[i]:
-            # every integer shift of the target level lies on the region
-            n0 = int(np.ceil(lo - targets[i] - 1e-15))
-            n1 = int(np.floor(hi - targets[i] + 1e-15))
-            levels = [targets[i] + n for n in range(n0, n1 + 1)]
-        else:
-            levels = [targets[i]]
-        for level in levels:
-            if lo - 1e-15 <= level <= hi + 1e-15 and abs(b - a) > 0:
-                frac = (level - a) / (b - a)
-                if -1e-12 <= frac <= 1.0 + 1e-12:
-                    candidates.append((i, level, a))
-    if not candidates:
-        return None
-
-    def coord_at(dt_sub, i):
-        if dt_sub <= 0:
-            return X_state[0, i]
-        Y, _ = midpoint_step(field.velocity, X_state, t, dt_sub)
-        return Y[0, i]
-
-    best_hit = None
-    for i, level, a in candidates:
-        lo_t, hi_t = 0.0, h
-        sign0 = np.sign(a - level) or 1.0
-        for _ in range(80):
-            if hi_t - lo_t <= 1e-10:
-                break
-            mid = 0.5 * (lo_t + hi_t)
-            if np.sign(coord_at(mid, i) - level) == sign0:
-                lo_t = mid
-            else:
-                hi_t = mid
-        t_hit = 0.5 * (lo_t + hi_t)
-        Y, _ = midpoint_step(field.velocity, X_state, t, t_hit) if t_hit > 0 else (X_state, None)
-        if Xp.defect(Y)[0] <= landing_tol:
-            if best_hit is None or t_hit < best_hit[0]:
-                best_hit = (t_hit, Y[0].copy())
-    if best_hit is None:
-        return None
-    return t + best_hit[0], best_hit[1]
+def _bisect(field, starts, t, h, cols, levels):
+    """Sub-step in [0, h] at which each start's coordinate ``cols`` meets its
+    level, to 1e-10: one midpoint step of the whole batch per halving."""
+    at = np.arange(len(starts)), cols
+    side = np.sign(starts[at] - levels)
+    side[side == 0] = 1.0
+    lo, hi = np.zeros(len(starts)), np.full(len(starts), h)
+    while np.any(hi - lo > 1e-10):
+        mid = 0.5 * (lo + hi)
+        Y, _ = midpoint_step(field.velocity, starts, t, mid[:, None])
+        before = np.sign(Y[at] - levels) == side
+        lo, hi = np.where(before, mid, lo), np.where(before, hi, mid)
+    return 0.5 * (lo + hi)

@@ -133,6 +133,54 @@ def test_validate_checks_every_field_read(config, path):
     assert _config_error_path(config) == path
 
 
+FOUR_PINS = [[0.0, 0.0], [0.25, 1.0], [0.5, 0.0], [0.75, 1.0]]
+TWISTED_MATRIX = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0.5], [0, -1, -0.5, 0]]
+CONFIG_DECIDES_PROBES = [  # configs that used to validate and then fail or misreport at run
+    ({"experiment": "example1-sharpness", "family": {**PINNED, "pins": [[0, 0], [1, 1]]}},
+     "/family/pins/1"),
+    ({"experiment": "pb-upper", "optimizer": {"pins": [[0, 0], [1, 1]]}}, "/optimizer/pins/1"),
+    ({"experiment": "example1-sharpness",
+      "family": {**PINNED, "pins": [[0, 0], [0.5, 1], [0, 0.5]]}}, "/family/pins/2"),
+    ({"experiment": "pb-upper", "optimizer": {"pins": [[0, 0], [0.5, 1], [0, 0.5]]}},
+     "/optimizer/pins/2"),
+    ({"experiment": "example1-sharpness", "family": {**PINNED, "pins": FOUR_PINS, "n_modes": 1}},
+     "/family/pins"),
+    ({"experiment": "pb-upper", "optimizer": {"pins": FOUR_PINS, "n_modes": 1}},
+     "/optimizer/pins"),
+    # an absent n_modes is make_pinned_profile's 12: 2 * 12 + 1 = 25 parameters
+    ({**CUSTOM, "family": {**PINNED, "pins": [[j / 26, 0.0] for j in range(26)]}},
+     "/family/pins"),
+    # example3-twisted's closed form is a translation: F on momenta, (Omega^{-1})_pp = 0
+    ({"experiment": "example3-twisted",
+      "family": {"family": "fourier", "coeffs": [[0.5, [0, 0, 0, 0], 0, "cos"],
+                                                [-0.5, [1, 0, 1, 0], 0, "cos"]]}},
+     "/family/coeffs/1"),
+    ({"experiment": "example3-twisted", "space": {"omega": {"matrix": TWISTED_MATRIX}}},
+     "/space/omega/matrix"),
+]
+
+
+@pytest.mark.parametrize("config, path", CONFIG_DECIDES_PROBES,
+                         ids=[f"{i}{path}" for i, (_, path) in enumerate(CONFIG_DECIDES_PROBES)])
+def test_validate_rejects_what_the_config_decides(config, path):
+    assert _config_error_path(config) == path
+
+
+def test_twisted_closed_form_follows_omega():
+    # the standard form's rotation vector is pi sin(0.4 pi) (0, 0, 1, 0), with no shear
+    cfg = {"experiment": "example3-twisted", "space": {"omega": "standard"}, "orbit": {"T": 100.0}}
+    report = rv.run(cfg)
+    speed = np.pi * np.sin(2 * np.pi * 0.2)
+    assert report.passed
+    assert report.results["q_component_error"]["value"] <= 1e-12
+    assert np.abs(np.subtract(report.results["expected_vector"]["value"],
+                              [0.0, 0.0, speed, 0.0])).max() <= 2e-15
+    # on the sheared form the closed form is still speed * (0, 0, 1, -gamma)
+    twisted = rv.run(SMALL["example3-twisted"]).results["expected_vector"]["value"]
+    gamma = rv.DEFAULT_GAMMA
+    assert np.abs(np.subtract(twisted, [0.0, 0.0, speed, -gamma * speed])).max() <= 2e-15
+
+
 def test_validate_fills_the_defaults_the_builders_use():
     cfg = rv.validate_config({**CUSTOM, "seeds": {"kind": "full"}})
     assert cfg["seeds"]["per_dim"] == 32 and cfg["form"]["potential"] is None

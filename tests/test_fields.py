@@ -159,6 +159,14 @@ def test_infeasible_pins():
         rv.make_pinned_profile([(0.0, 0.0), (0.0, 1.0)])
 
 
+@pytest.mark.parametrize("pins, n_modes", [([(0.0, 0.0), (1.0, 1.0)], 12),  # the same time mod 1
+                                           ([(0.0, 0.0), (0.25, 1.0), (0.5, 0.0), (0.75, 1.0)], 1)])
+def test_infeasible_pins_mod_one_and_too_many(pins, n_modes):
+    # the check validate_config shares (fields.pin_conflict) still raises here
+    with pytest.raises(InfeasiblePins):
+        rv.make_pinned_profile(pins, n_modes=n_modes)
+
+
 def test_twelve_modes_cannot_certify_2_1():
     # the minimax slope of a 12-mode profile with these pins is ~2.186, so the
     # requested target is reported unmet rather than silently claimed

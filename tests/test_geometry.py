@@ -201,8 +201,8 @@ def test_sample_grids_match_meshgrid_builders(space, per_dim):
     # lowest-index argmax tie rule depend on it
     full = rv.full_seed_grid(space, per_dim)
     assert np.array_equal(full, old_seed_grid(space, per_dim))
-    momentum = rv.momentum_seed_grid(space, per_dim, positions_at=0.3)
-    assert np.array_equal(momentum, old_seed_grid(space, per_dim, True, 0.3))
+    momentum = rv.momentum_seed_grid(space, per_dim)
+    assert np.array_equal(momentum, old_seed_grid(space, per_dim, True))
 
     levels = np.linspace(0.1, 0.7, space.n)
     region = rv.momentum_level_torus(space, levels, per_dim=per_dim)

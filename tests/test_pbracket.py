@@ -478,12 +478,25 @@ def _chord_case(name):
                 rv.momentum_level_torus(sp, [level + 0.5]), 300 * h, h)
     if name == "short-t_max":
         return rv.one_form([0.0, 0.5]), sp, X, Xp, 0.5, 1e-2
+    if name == "big-step":  # the first step passes the levels 0.5, 1.5 and 2.5
+        return rv.one_form([0.0, 1.0]), sp, X, Xp, 10.0, 3.0
+    if name == "big-step-backward":  # passes -0.5, -1.5 and -2.5: the first is the highest
+        return rv.one_form([0.0, -1.0]), sp, X, Xp, 10.0, 3.0
+    if name.startswith("two-coordinate"):
+        # p = (t/2, 3t/4) crosses p1 = 1/2 and p2 = 1/4 (mod 1) on their own
+        # first; both levels hold together only at t = 3
+        t4 = rv.torus(2)
+        h = 0.7 if name.endswith("0.7") else 1e-2
+        return (rv.one_form([0.0, 0.0, 0.5, 0.75]), t4,
+                rv.momentum_level_torus(t4, [0.0, 0.0], per_dim=4),
+                rv.momentum_level_torus(t4, [0.5, 0.25], per_dim=4), 5.0, h)
     assert name == "orthogonal"
     return rv.one_form([1.0, 0.0]), sp, X, Xp, 10.0, 1e-2
 
 
 @pytest.mark.parametrize("name", ["builtin", "doubled", "potential", "cotangent", "mid-step",
-                                  "short-t_max", "orthogonal"])
+                                  "short-t_max", "orthogonal", "big-step", "big-step-backward",
+                                  "two-coordinate-h0.7", "two-coordinate-h0.01"])
 def test_chord_search_matches_per_seed_oracle(name):
     alpha, sp, X, Xp, t_max, h = _chord_case(name)
     chord = rv.chord_search(alpha, sp, X, Xp, t_max=t_max, h=h)
@@ -492,6 +505,8 @@ def test_chord_search_matches_per_seed_oracle(name):
         assert chord is None and oracle is None
         return
     start, t_star, end = oracle
+    if name.startswith("two-coordinate"):
+        assert abs(t_star - 3.0) <= 1e-9
     assert np.array_equal(chord.start.lift, start)  # same seed, same tie rule
     # constant-velocity forms bisect identical states, so only the node time
     # differs: k*h here, a running sum of k steps h (k half-ulps) in the oracle
