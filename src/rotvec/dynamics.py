@@ -213,23 +213,23 @@ def rk4_step(vel, X, t, h, v_node=None):
 _STEPPERS = {"midpoint": midpoint_step, "rk4": rk4_step}
 
 
-def _nodes(field, X, T, h, t0=0.0, method="midpoint"):
-    """Step the batch X (B, dim) over [t0, t0 + T]; yield (t, X, V) at every node.
+def _nodes(field, X, T, h, method="midpoint"):
+    """Step the batch X (B, dim) over [0, T]; yield (t, X, V) at every node.
 
-    Node k is at t0 + k*h, plus a last, shorter step to t0 + T if h does not
-    divide T. The node velocity V is the predictor of the step leaving it.
+    Node k is at k*h, plus a last, shorter step to T if h does not divide T.
+    The node velocity V is the predictor of the step leaving it.
     Raises BlowUp on a non-finite state (checked every 512 steps and at the end).
     """
     step = _STEPPERS[method]  # looked up per call: perfbench's tracer re-points it
     vel = field.velocity
     X = np.array(X, dtype=float)
     n_full, remainder = _step_counts(T, h)
-    t = t0
+    t = 0.0
     for k in range(n_full + bool(remainder)):
         V = vel(X, t)
         yield t, X, V
         X, _ = step(vel, X, t, h if k < n_full else remainder, V)
-        t = t0 + (k + 1) * h if k < n_full else t0 + T
+        t = (k + 1) * h if k < n_full else T
         if k % 512 == 0 and not np.all(np.isfinite(X)):
             raise BlowUp(f"non-finite state at t = {t}")
     if not np.all(np.isfinite(X)):

@@ -29,7 +29,8 @@ from .geometry import (CohomologyClass, momentum_level_torus, one_form, torus,
                        twisted_structure)
 from .measures import (doubling_horizons, empirical_measure, extremal_orbit_search,
                        full_seed_grid, momentum_seed_grid, rotation_vector)
-from .pbracket import PbProblem, PinnedProfileFamily, chord_search, pb_upper_bound
+from .pbracket import (CONSTRAINT_TOL, PbProblem, PinnedProfileFamily, chord_search,
+                       pb_upper_bound)
 from .suspension import (SuspendedHamiltonian, extended_point, map_orbit_search,
                          rotation_pairing_time_one, shift_equivariance_check,
                          suspension_flow, time_one_orbit)
@@ -251,11 +252,10 @@ def _check_regions(cfg, record):
                 isinstance(c, list) and len(c) == 2 and _is_int(c[0], 0) and c[0] < 2 * n
                 and _is_number(c[1]) for c in spec["constraints"]),
                 f"{path}/constraints", f"must be [index < {2 * n}, value] pairs")
-            pinned.append(dict(spec["constraints"]))
         else:
             _require(_is_numbers(spec.get("levels"), n), f"{path}/levels",
                      f"must be a list of {n} numbers")
-            pinned.append(dict(enumerate(spec["levels"])))
+        pinned.append(_pinned(spec))
         spec.setdefault("per_dim", 32)
         _require(_is_int(spec["per_dim"], 1), f"{path}/per_dim", "must be a positive integer")
     if not record.disjoint:
@@ -267,12 +267,27 @@ def _check_regions(cfg, record):
              "must be disjoint from X: pin a coordinate of X to another value")
 
 
+def _pinned(spec):
+    """{coordinate: level} of a region spec, as ``_build_region`` pins them."""
+    return dict(spec["constraints"]) if "constraints" in spec else dict(enumerate(spec["levels"]))
+
+
 def _check_optimizer(cfg, record):
+    """The candidate is F = u(p1): where a region pins p1 at a level, a pin at
+    that level (mod 1) fixes F on all of the region, to within the LP's 1e-10."""
     opt = cfg["optimizer"]
     _require(_is_int(opt.get("n_modes"), 1), "/optimizer/n_modes", "must be a positive integer")
     _require(_is_int(opt.get("cert_grid_res"), 16) and opt["cert_grid_res"] <= 2 ** 26,
              "/optimizer/cert_grid_res", "must be an integer in [16, 2**26]")
     _check_pins(opt.get("pins"), "/optimizer/pins", opt["n_modes"])
+    slack = CONSTRAINT_TOL + 1e-10
+    for name, need, ok in (("X", "<= 0", lambda v: v <= slack),
+                           ("Xp", ">= 1", lambda v: v >= 1.0 - slack)):
+        level = _pinned(cfg["regions"][name]).get(0)
+        for j, (t, v) in enumerate(opt["pins"]):
+            _require(level is None or round(t % 1.0, 12) != round(level % 1.0, 12) or ok(v),
+                     f"/optimizer/pins/{j}", f"u({t}) = {v}, but F = u(p1) must be {need} "
+                     f"on {name}, which pins p1 at {level}")
 
 
 def _check_orbit(cfg, record):

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import InfeasiblePins
-from .trig import TWO_PI, TrigPoly
+from .trig import COS, SIN, TWO_PI, TrigPoly
 
 SLOPE_GRID = 4096  # grid of the profile LP's slope rows and of its slope certificate
 PROFILE_MODES = 12  # the pinned profile's default number of Fourier modes
@@ -21,14 +21,14 @@ PROFILE_MODES = 12  # the pinned profile's default number of Fourier modes
 class HamiltonianSpec:
     """A member of an analytic parametric family F(x) or F(x, s).
 
-    Thin wrapper over a TrigPoly adding the family tag, the time period
-    (1 for time-dependent members, None for autonomous) and per-family
-    metadata (pin constraints, certified slope bounds for profiles).
+    Thin wrapper over a TrigPoly adding the time period (1 for time-dependent
+    members, None for autonomous) and metadata true of this member (pin
+    constraints and certified slope bounds for profiles). Sums, products and
+    scalar multiples carry no metadata.
     """
 
-    def __init__(self, poly: TrigPoly, family="fourier", metadata=None):
+    def __init__(self, poly: TrigPoly, metadata=None):
         self.poly = poly
-        self.family = family
         self.metadata = dict(metadata or {})
         self.period = 1.0 if poly.is_time_dependent else None
 
@@ -54,17 +54,17 @@ class HamiltonianSpec:
 
     def __add__(self, other):
         other_poly = other.poly if isinstance(other, HamiltonianSpec) else TrigPoly.constant(self.dim, float(other))
-        return HamiltonianSpec(self.poly + other_poly, family="sum")
+        return HamiltonianSpec(self.poly + other_poly)
 
     def __mul__(self, other):
         if isinstance(other, HamiltonianSpec):
-            return HamiltonianSpec(self.poly.product(other.poly), family="product")
-        return HamiltonianSpec(self.poly * float(other), family=self.family, metadata=self.metadata)
+            return HamiltonianSpec(self.poly.product(other.poly))
+        return HamiltonianSpec(self.poly * float(other))
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"HamiltonianSpec({self.family}, dim={self.dim}, terms={self.poly.n_terms}, period={self.period})"
+        return f"HamiltonianSpec(dim={self.dim}, terms={self.poly.n_terms}, period={self.period})"
 
 
 def _coords(x):
@@ -74,49 +74,43 @@ def _coords(x):
 
 def fourier_hamiltonian(dim, terms):
     """F = sum of (coeff, kvec, tfreq, kind) waves over R^dim x time."""
-    poly = TrigPoly.zero(dim)
-    for coeff, kvec, tfreq, kind in terms:
-        poly = poly + TrigPoly.wave(dim, coeff, kvec, tfreq, kind)
-    return HamiltonianSpec(poly)
+    coeffs, kvecs, tfreqs, kinds = zip(*terms) if terms else ((),) * 4
+    is_sin = [SIN if kind == "sin" else COS for kind in kinds]
+    return HamiltonianSpec(TrigPoly(dim, coeffs, kvecs, tfreqs, is_sin))
 
 
-def profile_hamiltonian(profile_poly: TrigPoly, dim, coord=0, family="pinned-profile", metadata=None):
+def profile_hamiltonian(profile_poly: TrigPoly, dim, coord=0, metadata=None):
     """Lift a 1-variable profile u to F(x) = u(x_coord) on a dim-dimensional space."""
     kvecs = np.zeros((profile_poly.n_terms, dim), dtype=np.int64)
     kvecs[:, coord] = profile_poly.kvecs[:, 0]
     poly = TrigPoly(dim, profile_poly.coeffs, kvecs, profile_poly.tfreq, profile_poly.is_sin)
-    return HamiltonianSpec(poly, family=family, metadata=metadata)
+    return HamiltonianSpec(poly, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
 # pinned profiles u: R/Z -> R
 # ---------------------------------------------------------------------------
 
+def _waves(n_modes):
+    """(k, is_sin) of the profile parameters [c_0, c_1, s_1, ..., c_n, s_n]."""
+    p = np.arange(2 * n_modes + 1)
+    return (p + 1) // 2, (p > 0) & (p % 2 == 0)
+
+
 def _profile_basis(t, n_modes, derivative=False):
-    """Columns [1, cos(2 pi j t), sin(2 pi j t)]_{j<=n_modes} or their derivatives."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    cols = [np.zeros_like(t) if derivative else np.ones_like(t)]
-    for j in range(1, n_modes + 1):
-        w = TWO_PI * j
-        if derivative:
-            cols.append(-w * np.sin(w * t))
-            cols.append(w * np.cos(w * t))
-        else:
-            cols.append(np.cos(w * t))
-            cols.append(np.sin(w * t))
-    return np.stack(cols, axis=-1)
+    """Columns [1, cos(2 pi k t), sin(2 pi k t)]_{k<=n_modes} or their derivatives."""
+    k, is_sin = _waves(n_modes)
+    w = TWO_PI * k
+    wt = np.atleast_1d(np.asarray(t, dtype=float))[..., None] * w
+    if derivative:  # d/dt 1 = 0, d/dt cos(wt) = -w sin(wt), d/dt sin(wt) = w cos(wt)
+        return np.where(k == 0, 0.0, np.where(is_sin, w * np.cos(wt), -w * np.sin(wt)))
+    return np.where(is_sin, np.sin(wt), np.cos(wt))
 
 
 def _profile_poly(theta, n_modes):
     """Coefficient vector theta -> the 1-variable TrigPoly it represents."""
-    coeffs = [theta[0]]
-    kvecs = [[0]]
-    kinds = [0]
-    for j in range(1, n_modes + 1):
-        coeffs += [theta[2 * j - 1], theta[2 * j]]
-        kvecs += [[j], [j]]
-        kinds += [0, 1]
-    return TrigPoly(1, coeffs, kvecs, np.zeros(len(coeffs)), kinds)
+    k, is_sin = _waves(n_modes)
+    return TrigPoly(1, theta, k[:, None], np.zeros(len(k)), is_sin)
 
 
 def profile_slope_certificate(u_poly: TrigPoly, grid_res=4096):
@@ -150,15 +144,13 @@ def pin_conflict(pins, n_modes):
 
 
 def make_pinned_profile(pins, slope_target=None, n_modes=PROFILE_MODES, dim=2, coord=0):
-    """Build F = u(p_coord) from pin constraints u(t_i) = v_i.
+    """Build F = u(p_coord), the profile of minimal max|u'| with u(t_i) = v_i.
 
-    Pins are enforced exactly by linear elimination. Without a slope target
-    the minimum-norm coefficient vector is returned; with one, the profile of
-    minimal max|u'| over the pinned family is found by linear programming
-    (the pointwise max of |u'| over a grid is linear in the coefficients), and
-    the achieved slope is certified on ``SLOPE_GRID`` points with a curvature
-    pad. The certificate is reported in the metadata; hitting the requested
-    target is checked there, not guaranteed a priori.
+    One solver: a linear program (the pointwise max of |u'| over a grid is
+    linear in the coefficients) with the pins as equality rows. The achieved
+    slope is certified on ``SLOPE_GRID`` points with a curvature pad and
+    reported in the metadata. ``slope_target`` does not enter the solve; the
+    metadata only reports whether the certificate meets it (None without one).
     """
     pins = [(float(t), float(v)) for t, v in pins]
     conflict = pin_conflict(pins, n_modes)
@@ -167,15 +159,10 @@ def make_pinned_profile(pins, slope_target=None, n_modes=PROFILE_MODES, dim=2, c
     pts = np.array([t for t, _ in pins])
     vals = np.array([v for _, v in pins])
     P = _profile_basis(pts, n_modes)
-
-    if slope_target is None:
-        theta, *_ = np.linalg.lstsq(P, vals, rcond=None)
-    else:
-        theta = _min_slope_lp(P, vals, n_modes, SLOPE_GRID)
-
+    theta = _min_slope_lp(P, vals, n_modes, SLOPE_GRID)
     residual = np.abs(P @ theta - vals).max() if len(pts) else 0.0
     if residual > 1e-10:
-        raise InfeasiblePins(f"pin residual {residual:.3e} after elimination")
+        raise InfeasiblePins(f"pin residual {residual:.3e} after the slope LP")
 
     u_poly = _profile_poly(theta, n_modes)
     grid_max, pad, certified = profile_slope_certificate(u_poly, SLOPE_GRID)
@@ -196,17 +183,11 @@ def make_pinned_profile(pins, slope_target=None, n_modes=PROFILE_MODES, dim=2, c
 def _min_slope_lp(P, vals, n_modes, grid_res):
     """minimize tau s.t. |u'(t_i)| <= tau on the grid and the pins hold."""
     n_params = 2 * n_modes + 1
-    t = np.arange(grid_res) / grid_res
-    B = _profile_basis(t, n_modes, derivative=True)
-    nv = n_params + 1
-    a_ub = np.zeros((2 * grid_res, nv))
-    a_ub[:grid_res, :n_params] = B
-    a_ub[grid_res:, :n_params] = -B
-    a_ub[:, -1] = -1.0
-    a_eq = np.zeros((len(vals), nv))
-    a_eq[:, :n_params] = P
-    cost = np.zeros(nv)
-    cost[-1] = 1.0
+    B = _profile_basis(np.arange(grid_res) / grid_res, n_modes, derivative=True)
+    tau = np.full((grid_res, 1), -1.0)
+    a_ub = np.block([[B, tau], [-B, tau]])
+    a_eq = np.hstack([P, np.zeros((len(vals), 1))])
+    cost = np.append(np.zeros(n_params), 1.0)
     res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(2 * grid_res), A_eq=a_eq, b_eq=vals,
                   bounds=[(None, None)] * n_params + [(0, None)], method="highs")
     if not res.success:

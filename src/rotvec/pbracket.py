@@ -13,7 +13,7 @@ again an exact trigonometric polynomial: sup norms can therefore be certified
 bracket for the candidate of a family of admissible pairs (F <= 0 on X,
 F >= 1 on X'; alpha in a fixed class): a numerical upper bound for the
 minimax bracket invariant of (X, X', class). For pinned profiles
-F = u(x_coord) the bracket is linear in the profile coefficients, so the
+F = u(x_0) the bracket is linear in the profile coefficients, so the
 family's candidate is the linear-programming optimum of max|u'| and no
 search is needed. The matching lower bound is theory input
 (non-displaceability), asserted by the caller, never computed here.
@@ -42,28 +42,19 @@ LANDING_TOL = 1e-6  # largest membership defect of X' at a counted chord landing
 def bracket_poly(F: HamiltonianSpec, alpha: ClosedOneForm, space: PhaseSpace) -> TrigPoly:
     """{F, alpha} as an exact trigonometric polynomial (in x, and s if F is).
 
-    Computed as alpha(sgrad F) = (class + grad g) . (Omega^{-1} grad F); every
-    product of waves is re-expanded, so the coefficients of the result are
-    exact and usable for certified bounds.
+    Computed as alpha(sgrad F) = (class + grad g) . (Omega^{-1} grad F): the
+    class term is the derivative of F along Omega^{-T} class, and each partial
+    d_i g of the potential multiplies the derivative of F along row i of
+    Omega^{-1}. Every product of waves is re-expanded, so the coefficients of
+    the result are exact and usable for certified bounds.
     """
     inv = space.omega.inverse
-    out = TrigPoly.zero(F.dim)
-    grads = [F.poly.partial(j) for j in range(F.dim)]
-    # velocity components v_i = sum_j inv[i, j] dF/dx_j
-    for i in range(F.dim):
-        v_i = TrigPoly.zero(F.dim)
-        for j in range(F.dim):
-            if inv[i, j] != 0.0 and grads[j].n_terms:
-                v_i = v_i + grads[j] * inv[i, j]
-        if v_i.n_terms == 0:
-            continue
-        c = alpha.cclass.coeffs[i]
-        if c != 0.0:
-            out = out + v_i * c
-        if alpha.potential is not None:
+    out = F.poly.derivative(inv.T @ alpha.cclass.coeffs)
+    if alpha.potential is not None:
+        for i in range(F.dim):
             dg_i = alpha.potential.partial(i)
             if dg_i.n_terms:
-                out = out + dg_i.product(v_i)
+                out = out + dg_i.product(F.poly.derivative(inv[i]))
     return out
 
 
@@ -146,26 +137,25 @@ class FixedCandidate:
 
 
 class PinnedProfileFamily:
-    """Profiles F = u(x_coord) with pinned values, paired with alpha = a.
+    """Profiles F = u(x_0) with pinned values, paired with alpha = a.
 
-    For F = u(x_c) and a potential g(x_c) in the same coordinate, the bracket
-    is {F, alpha} = (a . Omega^{-1} e_c) u'(x_c): the potential term
-    g' u' (Omega^{-1})_cc vanishes because Omega^{-1} is antisymmetric. The
-    objective is therefore linear in the profile coefficients, and its
-    optimum over the pinned family is the minimal-slope profile of
-    ``fields.make_pinned_profile`` (up to its slope grid).
+    For F = u(x_0) the bracket is {F, alpha} = (a . Omega^{-1} e_0) u'(x_0)
+    (a potential g(x_0) adds g' u' (Omega^{-1})_00 = 0, as Omega^{-1} is
+    antisymmetric). The objective is therefore linear in the profile
+    coefficients, and its optimum over the pinned family is the minimal-slope
+    profile that ``fields.make_pinned_profile`` solves for (up to its slope
+    grid). The profile sits in coordinate 0, so a region pinning x_0 at a
+    level fixes F there to a pinned value; ``validate_config`` relies on it.
     """
 
-    def __init__(self, space, a: CohomologyClass, pins, n_modes=32, coord=0):
+    def __init__(self, space, a: CohomologyClass, pins, n_modes=32):
         self.space = space
         self.a = a
         self.pins = [(float(t), float(v)) for t, v in pins]
         self.n_modes = n_modes
-        self.coord = coord
 
     def candidate(self):
-        F = make_pinned_profile(self.pins, slope_target=np.inf, n_modes=self.n_modes,
-                                dim=self.space.dim, coord=self.coord)
+        F = make_pinned_profile(self.pins, n_modes=self.n_modes, dim=self.space.dim)
         return F, ClosedOneForm(self.a)
 
     def describe(self):

@@ -177,14 +177,13 @@ class TimeOneOrbit:
 
     def measure(self) -> EmpiricalMeasure:
         """Uniform Birkhoff measure over the iterates phi^k x, k < n_units."""
-        mu = measure_from_iterates(
+        return measure_from_iterates(
             self.trajectory.space, self.iterate_lifts[:-1],
             provenance={"x0": self.trajectory.lifts[0].tolist(),
                         "n_units": self.n_units, "h": self.trajectory.h,
                         "kind": "time-one-orbit"},
+            source=self.trajectory,
         )
-        mu.source = self.trajectory
-        return mu
 
 
 def time_one_orbit(F: HamiltonianSpec, space: PhaseSpace, x0, n_units, h=1e-2) -> TimeOneOrbit:

@@ -136,12 +136,17 @@ class TrigPoly:
 
     # -- calculus ------------------------------------------------------------
 
+    def derivative(self, direction):
+        """The derivative along the vector ``direction`` (dim,), sum_j direction_j
+        d/dx_j, as a new TrigPoly (exact)."""
+        # d/dx cos(2*pi*phi) = -2*pi*(k.v) sin(...);  d/dx sin = +2*pi*(k.v) cos(...)
+        sign = np.where(self.is_sin == SIN, 1.0, -1.0)
+        coeffs = self.coeffs * TWO_PI * (self.kvecs @ np.asarray(direction, dtype=float)) * sign
+        return TrigPoly(self.dim, coeffs, self.kvecs, self.tfreq, 1 - self.is_sin)
+
     def partial(self, j):
         """d/dx_j as a new TrigPoly (exact)."""
-        # d/dx cos(2*pi*phi) = -2*pi*k_j sin(...);  d/dx sin = +2*pi*k_j cos(...)
-        sign = np.where(self.is_sin == SIN, 1.0, -1.0)
-        coeffs = self.coeffs * TWO_PI * self.kvecs[:, j] * sign
-        return TrigPoly(self.dim, coeffs, self.kvecs, self.tfreq, 1 - self.is_sin)
+        return self.derivative(np.eye(self.dim)[j])
 
     # -- evaluation ----------------------------------------------------------
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import rotvec as rv
 from rotvec.cli import main as cli_main
 from rotvec.errors import ConfigError, RotvecError
+from rotvec.pbracket import CONSTRAINT_TOL
 
 
 FAST_BOUND = {
@@ -157,6 +158,14 @@ CONFIG_DECIDES_PROBES = [  # configs that used to validate and then fail or misr
      "/family/coeffs/1"),
     ({"experiment": "example3-twisted", "space": {"omega": {"matrix": TWISTED_MATRIX}}},
      "/space/omega/matrix"),
+    # pb-upper's candidate is u(p1): a pin at a region's p1 level fixes F on all of it
+    ({"experiment": "pb-upper", "optimizer": {"pins": [[0.0, 0.5], [0.5, 1.0]]}},
+     "/optimizer/pins/0"),
+    ({"experiment": "pb-upper", "optimizer": {"pins": [[0.0, 0.0], [-0.5, 0.9]]}},
+     "/optimizer/pins/1"),
+    ({"experiment": "pb-upper", "regions": {"X": {"constraints": [[0, 0.25], [1, 0.0]]},
+                                            "Xp": {"constraints": [[0, 0.75]]}},
+      "optimizer": {"pins": [[0.75, 1.0], [1.25, 0.1]]}}, "/optimizer/pins/1"),
 ]
 
 
@@ -164,6 +173,24 @@ CONFIG_DECIDES_PROBES = [  # configs that used to validate and then fail or misr
                          ids=[f"{i}{path}" for i, (_, path) in enumerate(CONFIG_DECIDES_PROBES)])
 def test_validate_rejects_what_the_config_decides(config, path):
     assert _config_error_path(config) == path
+
+
+def test_pins_at_region_levels_within_the_pin_residual_validate():
+    # u(level) may miss its bound by the LP's 1e-10 pin residual and still pass
+    slack = CONSTRAINT_TOL + 1e-10
+    for pins in ([[0.0, slack], [0.5, 1.0]], [[0.0, 0.0], [0.5, 1.0 - slack]],
+                 [[0.25, 5.0], [0.75, -5.0]]):  # no pin at a level: left to the run
+        rv.validate_config({"experiment": "pb-upper", "optimizer": {"pins": pins}})
+
+
+def test_null_slope_target_runs_the_same_sharpness_profile():
+    # slope_target only reports; a null target certifies the builtin's slope
+    small = {"experiment": "example1-sharpness", "seeds": {"kind": "momentum", "per_dim": 3},
+             "integration": {"h": 0.1, "T0": 1.0, "T_max": 2.0}}
+    null = rv.run({**small, "family": {"slope_target": None}})
+    builtin = rv.run(small)
+    assert null.passed
+    assert null.results["certified_slope"] == builtin.results["certified_slope"]
 
 
 def test_twisted_closed_form_follows_omega():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import rotvec as rv
 from rotvec.errors import InfeasiblePins
+from rotvec.fields import SLOPE_GRID, _profile_basis, _profile_poly
+from rotvec.trig import TWO_PI, TrigPoly
 
 SIN2 = [(0.5, [0, 0], 0, "cos"), (-0.5, [1, 0], 0, "cos")]  # sin^2(pi p1) on T^2
 
@@ -184,3 +187,112 @@ def test_parse_family_roundtrip():
     assert G.eval([0.5, 0.0]) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         rv.parse_family({"family": "nope"}, 2)
+
+
+def test_null_slope_target_solves_the_same_lp():
+    # the target only reports: the profile and its certificate do not depend on it
+    pins = [(0.0, 0.0), (0.5, 1.0)]
+    null = rv.make_pinned_profile(pins, n_modes=16)
+    target = rv.make_pinned_profile(pins, slope_target=2.1, n_modes=16)
+    assert null.metadata["slope_target_met"] is None
+    assert target.metadata["slope_target_met"] is False
+    for key in ("certified_slope", "slope_grid_max", "slope_pad", "profile_coeffs"):
+        assert null.metadata[key] == target.metadata[key]
+
+
+def test_derived_hamiltonians_carry_no_metadata():
+    # 2 F has twice F's slope: a certificate copied onto it would be false
+    F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], slope_target=2.1, n_modes=16)
+    for G in (2 * F, F * 2.0, F + 1.0, F + F, F * F):
+        assert G.metadata == {}
+    assert not hasattr(F, "family")
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the replaced per-mode and per-wave loops
+# ---------------------------------------------------------------------------
+
+def per_mode_profile_basis(t, n_modes, derivative=False):
+    """Oracle: the per-mode column loop _profile_basis replaced."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    cols = [np.zeros_like(t) if derivative else np.ones_like(t)]
+    for j in range(1, n_modes + 1):
+        w = TWO_PI * j
+        if derivative:
+            cols.append(-w * np.sin(w * t))
+            cols.append(w * np.cos(w * t))
+        else:
+            cols.append(np.cos(w * t))
+            cols.append(np.sin(w * t))
+    return np.stack(cols, axis=-1)
+
+
+def per_mode_profile_poly(theta, n_modes):
+    """Oracle: the per-mode term loop _profile_poly replaced."""
+    coeffs, kvecs, kinds = [theta[0]], [[0]], [0]
+    for j in range(1, n_modes + 1):
+        coeffs += [theta[2 * j - 1], theta[2 * j]]
+        kvecs += [[j], [j]]
+        kinds += [0, 1]
+    return TrigPoly(1, coeffs, kvecs, np.zeros(len(coeffs)), kinds)
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()  # also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_profile_basis_matches_per_mode_loop_on_the_slope_grid(derivative):
+    t = np.arange(SLOPE_GRID) / SLOPE_GRID
+    for n_modes in range(1, 49):
+        assert_bitwise_equal(_profile_basis(t, n_modes, derivative),
+                             per_mode_profile_basis(t, n_modes, derivative))
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.one_of(st.floats(-1e3, 1e3), st.lists(st.floats(-1e3, 1e3), max_size=8)),
+       n_modes=st.integers(1, 48), derivative=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_profile_basis_and_poly_match_per_mode_loops(t, n_modes, derivative, seed):
+    assert_bitwise_equal(_profile_basis(t, n_modes, derivative),
+                         per_mode_profile_basis(t, n_modes, derivative))
+    theta = np.random.default_rng(seed).normal(size=2 * n_modes + 1)
+    got, expected = _profile_poly(theta, n_modes), per_mode_profile_poly(theta, n_modes)
+    for name in ("coeffs", "kvecs", "tfreq", "is_sin"):
+        assert_bitwise_equal(getattr(got, name), getattr(expected, name))
+
+
+def per_wave_sum(dim, terms):
+    """Oracle: the per-wave sum fourier_hamiltonian replaced, canonicalizing once per wave."""
+    poly = TrigPoly.zero(dim)
+    for coeff, kvec, tfreq, kind in terms:
+        poly = poly + TrigPoly.wave(dim, coeff, kvec, tfreq, kind)
+    return poly
+
+
+@st.composite
+def wave_lists(draw):
+    """(dim, waves) with repeated, cancelling and sign-flipped waves."""
+    dim = draw(st.integers(1, 3))
+    wave = st.tuples(st.floats(-2.0, 2.0), st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                     st.integers(-1, 1), st.sampled_from(["cos", "sin"]))
+    waves = draw(st.lists(wave, max_size=8))
+    for _ in range(draw(st.integers(0, 4)) if waves else 0):
+        c, k, m, kind = draw(st.sampled_from(waves))
+        edit = draw(st.sampled_from(["repeat", "cancel", "flip"]))
+        if edit == "repeat":
+            waves.append((draw(st.floats(-2.0, 2.0)), k, m, kind))
+        elif edit == "cancel":
+            waves.append((-c, k, m, kind))
+        else:  # the same wave with (k, m) negated: sin flips its sign on canonicalization
+            waves.append((c, [-x for x in k], -m, kind))
+    return dim, waves
+
+
+@settings(max_examples=150, deadline=None)
+@given(wave_lists())
+def test_fourier_hamiltonian_matches_per_wave_sum(dim_waves):
+    dim, waves = dim_waves
+    got, expected = rv.fourier_hamiltonian(dim, waves).poly, per_wave_sum(dim, waves)
+    for name in ("coeffs", "kvecs", "tfreq", "is_sin"):
+        assert_bitwise_equal(getattr(got, name), getattr(expected, name))

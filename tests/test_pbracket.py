@@ -269,6 +269,73 @@ def test_potential_in_profile_coordinate_drops_out(data):
     assert np.max(np.abs(with_g.eval(X) - without.eval(X))) <= 1e-12
 
 
+def nested_loop_bracket_poly(F, alpha, space):
+    """Oracle: the bracket_poly that summed dim^2 Omega^{-1} entries per velocity component."""
+    inv = space.omega.inverse
+    out = TrigPoly.zero(F.dim)
+    grads = [F.poly.partial(j) for j in range(F.dim)]
+    for i in range(F.dim):
+        v_i = TrigPoly.zero(F.dim)
+        for j in range(F.dim):
+            if inv[i, j] != 0.0 and grads[j].n_terms:
+                v_i = v_i + grads[j] * inv[i, j]
+        if v_i.n_terms == 0:
+            continue
+        c = alpha.cclass.coeffs[i]
+        if c != 0.0:
+            out = out + v_i * c
+        if alpha.potential is not None:
+            dg_i = alpha.potential.partial(i)
+            if dg_i.n_terms:
+                out = out + dg_i.product(v_i)
+    return out
+
+
+def drawn_poly(data, dim, max_terms, time):
+    """Up to ``max_terms`` drawn waves with |k| <= 2, time frequencies if ``time``."""
+    n = data.draw(st.integers(0, max_terms))
+    k = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    terms = data.draw(st.lists(st.tuples(st.floats(-2.0, 2.0), k, st.integers(-1, 1) if time
+                                         else st.just(0), st.integers(0, 1)),
+                               min_size=n, max_size=n))
+    return TrigPoly(dim, [c for c, *_ in terms], np.reshape([t[1] for t in terms], (-1, dim)),
+                    [t[2] for t in terms], [t[3] for t in terms])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_bracket_poly_matches_nested_loop(data):
+    sp = SPACES[data.draw(st.integers(0, len(SPACES) - 1))]
+    F = rv.HamiltonianSpec(drawn_poly(data, sp.dim, 6, time=True))
+    g = drawn_poly(data, sp.dim, 4, time=False) if data.draw(st.booleans()) else None
+    a = rv.CohomologyClass(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=sp.dim,
+                                              max_size=sp.dim)))
+    got = bracket_poly(F, rv.ClosedOneForm(a, g), sp)
+    expected = nested_loop_bracket_poly(F, rv.ClosedOneForm(a, g), sp)
+    scale = 1.0 + got.abs_coeff_sum() + expected.abs_coeff_sum()
+    assert np.abs((got - expected).coeffs).max(initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bracket_poly_bitwise_on_the_standard_form(data):
+    # class (0, 0.5) on the standard T^2, what pb-upper and certify bracket with
+    sp, alpha = rv.torus(1), rv.one_form([0.0, 0.5])
+    F = rv.HamiltonianSpec(drawn_poly(data, 2, 8, time=data.draw(st.booleans())))
+    got, expected = bracket_poly(F, alpha, sp), nested_loop_bracket_poly(F, alpha, sp)
+    for name in ("coeffs", "kvecs", "tfreq", "is_sin"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+
+def test_bracket_poly_bitwise_for_the_pb_upper_candidate():
+    problem = example1_problem(n_modes=32)
+    F, alpha = problem.family.candidate()
+    got = bracket_poly(F, alpha, problem.space)
+    expected = nested_loop_bracket_poly(F, alpha, problem.space)
+    for name in ("coeffs", "kvecs", "tfreq", "is_sin"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+
 def nelder_mead_oracle(problem, restarts=2, max_evals=80, grid_res=512,
                        cert_grid_res=8192, spread=0.5, seed=0):
     """The search pb_upper_bound replaced, as the differential reference.
@@ -283,7 +350,7 @@ def nelder_mead_oracle(problem, restarts=2, max_evals=80, grid_res=512,
     theta0, *_ = np.linalg.lstsq(P, [v for _, v in fam.pins], rcond=None)
     _, sv, vt = np.linalg.svd(P)
     null = vt[int((sv > 1e-12 * sv[0]).sum()):].T
-    seed_profile = rv.make_pinned_profile(fam.pins, slope_target=np.inf, n_modes=fam.n_modes)
+    seed_profile = rv.make_pinned_profile(fam.pins, n_modes=fam.n_modes)
     z_seed = null.T @ (np.array(seed_profile.metadata["profile_coeffs"]) - theta0)
 
     def build(z):

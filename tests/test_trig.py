@@ -252,6 +252,22 @@ def points(draw, dim):
     return X, t
 
 
+@PROPERTY
+@given(data=st.data())
+def test_derivative_is_the_gradient_along_its_direction(data):
+    poly = data.draw(trig_polys("sparse"))
+    v = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=poly.dim, max_size=poly.dim)))
+    X, t = data.draw(points(poly.dim))
+    err = np.abs(poly.derivative(v).eval(X, t) - poly.grad(X, t) @ v).max()
+    assert err <= 1e-12 * term_scale(poly, "grad") * (1.0 + np.abs(v).sum())
+    # partial(j), now the axis case, is bit for bit the per-axis formula it replaced
+    j = data.draw(st.integers(0, poly.dim - 1))
+    sign = np.where(poly.is_sin == SIN, 1.0, -1.0)
+    axis = TrigPoly(poly.dim, poly.coeffs * TWO_PI * poly.kvecs[:, j] * sign, poly.kvecs,
+                    poly.tfreq, 1 - poly.is_sin)
+    assert_same_terms(arrays(poly.partial(j)), arrays(axis))
+
+
 @pytest.mark.parametrize("kernel", ["sparse", "dense"])
 @PROPERTY
 @given(data=st.data())
