@@ -24,7 +24,7 @@ import numpy as np
 from . import geometry
 from .dynamics import _steps_per_unit, hamiltonian_field, integrate, locally_hamiltonian_field
 from .errors import ConfigError, DimensionError
-from .fields import PROFILE_MODES, fourier_hamiltonian, parse_family, pin_conflict
+from .fields import LP_KEYS, PROFILE_MODES, fourier_hamiltonian, parse_family, pin_conflict
 from .geometry import (CohomologyClass, momentum_level_torus, one_form, torus,
                        twisted_structure)
 from .measures import (doubling_horizons, empirical_measure, extremal_orbit_search,
@@ -493,6 +493,8 @@ def _run_example1_sharpness(cfg, out):
             bool(np.all(report.per_seed_values <= bound)),
             "measures.extremal_orbit_search", passed=np.all(report.per_seed_values <= bound)),
         "converged": _result(report.converged, "measures.ConvergenceReport"),
+        "profile_lp": _result({key: F.metadata[key] for key in LP_KEYS},
+                              "fields.make_pinned_profile"),
     }
     artifacts = []
     if out:

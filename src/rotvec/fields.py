@@ -11,11 +11,20 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import InfeasiblePins
+from .errors import InfeasiblePins, RotvecError
 from .trig import COS, SIN, TWO_PI, TrigPoly
 
 SLOPE_GRID = 4096  # grid of the profile LP's slope rows and of its slope certificate
 PROFILE_MODES = 12  # the pinned profile's default number of Fourier modes
+# relative excess of |u'| over tau that the exchange counts as a violation:
+# above the rounding noise of HiGHS's vertex and of B @ theta (about 2e-13)
+_LP_SLACK = 1e-12
+LP_KEYS = ("lp_rounds", "lp_rows", "lp_status", "lp_value")  # the slope LP's solver record
+# the last solves, for a run that repeats a profile a few operations later or
+# a test module that rebuilds a handful: (pin floats, n_modes, grid_res) ->
+# (theta, solver record), oldest first
+_LP_CACHE = {}
+_LP_CACHE_SIZE = 16
 
 
 class HamiltonianSpec:
@@ -113,7 +122,7 @@ def _profile_poly(theta, n_modes):
     return TrigPoly(1, theta, k[:, None], np.zeros(len(k)), is_sin)
 
 
-def profile_slope_certificate(u_poly: TrigPoly, grid_res=4096):
+def profile_slope_certificate(u_poly: TrigPoly, grid_res=SLOPE_GRID):
     """Certified bound on max|u'| for a 1-variable profile.
 
     Returns (grid_max, pad, certified): max of |u'| on a uniform grid plus a
@@ -146,11 +155,15 @@ def pin_conflict(pins, n_modes):
 def make_pinned_profile(pins, slope_target=None, n_modes=PROFILE_MODES, dim=2, coord=0):
     """Build F = u(p_coord), the profile of minimal max|u'| with u(t_i) = v_i.
 
-    One solver: a linear program (the pointwise max of |u'| over a grid is
-    linear in the coefficients) with the pins as equality rows. The achieved
-    slope is certified on ``SLOPE_GRID`` points with a curvature pad and
-    reported in the metadata. ``slope_target`` does not enter the solve; the
+    One solver: a linear program (the pointwise max of |u'| over the
+    ``SLOPE_GRID`` grid is linear in the coefficients) with the pins as
+    equality rows, solved by constraint exchange and cached (``_min_slope_lp``).
+    The achieved slope is certified on the same grid with a curvature pad and
+    reported in the metadata, with the solver record (``LP_KEYS``), which a
+    cached solve repeats. ``slope_target`` does not enter the solve; the
     metadata only reports whether the certificate meets it (None without one).
+    Raises ``InfeasiblePins`` for pins no profile meets and ``RotvecError``
+    when HiGHS stops without an answer.
     """
     pins = [(float(t), float(v)) for t, v in pins]
     conflict = pin_conflict(pins, n_modes)
@@ -158,9 +171,8 @@ def make_pinned_profile(pins, slope_target=None, n_modes=PROFILE_MODES, dim=2, c
         raise InfeasiblePins(conflict[1])
     pts = np.array([t for t, _ in pins])
     vals = np.array([v for _, v in pins])
-    P = _profile_basis(pts, n_modes)
-    theta = _min_slope_lp(P, vals, n_modes, SLOPE_GRID)
-    residual = np.abs(P @ theta - vals).max() if len(pts) else 0.0
+    theta, solver = _min_slope_lp(pins, n_modes, SLOPE_GRID)
+    residual = np.abs(_profile_basis(pts, n_modes) @ theta - vals).max() if len(pts) else 0.0
     if residual > 1e-10:
         raise InfeasiblePins(f"pin residual {residual:.3e} after the slope LP")
 
@@ -176,23 +188,78 @@ def make_pinned_profile(pins, slope_target=None, n_modes=PROFILE_MODES, dim=2, c
         "certified_slope": certified,
         "slope_target_met": None if slope_target is None else bool(certified <= slope_target),
         "profile_coeffs": theta.tolist(),
+        **solver,
     }
     return profile_hamiltonian(u_poly, dim, coord=coord, metadata=meta)
 
 
-def _min_slope_lp(P, vals, n_modes, grid_res):
-    """minimize tau s.t. |u'(t_i)| <= tau on the grid and the pins hold."""
+def _min_slope_lp(pins, n_modes, grid_res):
+    """minimize tau s.t. |u'| <= tau on the ``grid_res`` grid and u(t) = v at the pins.
+
+    Returns (theta, solver): the coefficients of u and the solver record
+    (``LP_KEYS``: rounds, active rows, linprog status and the LP value tau).
+
+    Solved by constraint exchange: round one solves on 256 evenly spaced grid
+    rows; each round then evaluates |u'| on the whole grid and adds every
+    violated (|u'| > tau, up to ``_LP_SLACK``) local maximum that is not yet
+    active, with its two neighbours. The loop stops when there is none, so
+    the active set grows strictly and the loop ends.
+
+    Why that is the full LP's optimum: the sub-LP keeps a subset of the rows,
+    so its value tau is at most the full value tau*. At the stop, every
+    maximal run of violated grid rows has its maximum, a local maximum of
+    |u'|, on an active row, so max|u'| over the grid is its maximum over the
+    active rows, which the sub-LP holds at tau. theta is feasible for the
+    full LP at tau <= tau*, hence optimal. Both statements hold to HiGHS's
+    feasibility tolerances (1e-7), as they do for a one-call solve of the
+    full LP, which left |u'| up to 8.9e-7 (relative) above its own tau on
+    random pins.
+
+    Stall guard: when tau does not rise while rows are still violated, the
+    optimal face is not a point and the exchange can wander along it; the
+    next round then takes every row, which is the full LP itself.
+
+    Solves are cached on their exact inputs (pin floats, n_modes, grid_res);
+    a hit returns copies and the record of the solve it repeats.
+    """
+    key = (np.asarray(pins, dtype=float).tobytes(), n_modes, grid_res)
+    if key in _LP_CACHE:
+        theta, solver = _LP_CACHE[key]
+        return theta.copy(), dict(solver)
+    pts, vals = np.asarray(pins, dtype=float).reshape(-1, 2).T
     n_params = 2 * n_modes + 1
     B = _profile_basis(np.arange(grid_res) / grid_res, n_modes, derivative=True)
-    tau = np.full((grid_res, 1), -1.0)
-    a_ub = np.block([[B, tau], [-B, tau]])
-    a_eq = np.hstack([P, np.zeros((len(vals), 1))])
+    a_eq = np.hstack([_profile_basis(pts, n_modes), np.zeros((len(vals), 1))])
     cost = np.append(np.zeros(n_params), 1.0)
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(2 * grid_res), A_eq=a_eq, b_eq=vals,
-                  bounds=[(None, None)] * n_params + [(0, None)], method="highs")
-    if not res.success:
-        raise InfeasiblePins(f"slope minimization infeasible: {res.message}")
-    return res.x[:n_params]
+    bounds = [(None, None)] * n_params + [(0, None)]
+    active = np.zeros(grid_res, dtype=bool)
+    active[::max(grid_res // 256, 1)] = True
+    tau, rounds = -np.inf, 0
+    while True:
+        rounds += 1
+        rows = B[active]
+        ones = np.ones((len(rows), 1))
+        res = linprog(cost, A_ub=np.block([[rows, -ones], [-rows, -ones]]),
+                      b_ub=np.zeros(2 * len(rows)), A_eq=a_eq, b_eq=vals,
+                      bounds=bounds, method="highs")
+        if res.status == 2:
+            raise InfeasiblePins(f"slope minimization infeasible: {res.message}")
+        if not res.success:
+            raise RotvecError(f"slope LP failed (status {res.status}): {res.message}")
+        theta = res.x[:n_params]
+        rose, tau = res.x[-1] > tau * (1 + _LP_SLACK), res.x[-1]
+        slope = np.abs(B @ theta)
+        peak = (slope > tau * (1 + _LP_SLACK)) & ~active
+        peak &= (slope >= np.roll(slope, 1)) & (slope >= np.roll(slope, -1))
+        if not peak.any():
+            break
+        new = peak | np.roll(peak, 1) | np.roll(peak, -1)
+        active = active | new if rose else np.ones(grid_res, dtype=bool)
+    solver = dict(zip(LP_KEYS, (rounds, int(active.sum()), int(res.status), float(tau))))
+    if len(_LP_CACHE) >= _LP_CACHE_SIZE:
+        del _LP_CACHE[next(iter(_LP_CACHE))]  # the oldest entry
+    _LP_CACHE[key] = theta.copy(), solver
+    return theta, dict(solver)
 
 
 # ---------------------------------------------------------------------------

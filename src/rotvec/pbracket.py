@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import (_nodes, birkhoff_stream, hamiltonian_field, locally_hamiltonian_field,
                        midpoint_step)
 from .errors import InfeasibleFamily, InternalInconsistency
-from .fields import HamiltonianSpec, _profile_basis, make_pinned_profile
+from .fields import LP_KEYS, HamiltonianSpec, _profile_basis, make_pinned_profile
 from .geometry import (ClosedOneForm, CohomologyClass, PhasePoint, PhaseSpace,
                        RegionSpec, circular_residual, wrap)
 from .measures import pairing_integrand
@@ -208,8 +208,8 @@ def pb_upper_bound(problem: PbProblem, cert_grid_res=4096) -> PbResult:
 
     The candidate is validated against the region constraints, its bracket is
     certified on a ``cert_grid_res`` grid (grid maximum plus Lipschitz pad),
-    and the audit records the constraint checks, the family dimensions and
-    the certified split.
+    and the audit records the constraint checks, the family dimensions, the
+    certified split and the profile LP's solver record.
     """
     F, alpha = problem.family.candidate()
     ok, constraint_audit = problem.validate_candidate(F)
@@ -225,6 +225,8 @@ def pb_upper_bound(problem: PbProblem, cert_grid_res=4096) -> PbResult:
         # the audited pad is certified - grid_max, so the two add up to certified exactly
         "winner": {"constraints": constraint_audit, "grid_max": grid_max,
                    "pad": certified - grid_max, "certified": certified},
+        # the profile LP's solver record; empty for a fixed candidate
+        "profile_lp": {key: F.metadata[key] for key in LP_KEYS if key in F.metadata},
         "min_certified_seen": float(certified),
     }
     return PbResult(value=float(certified), F=F, alpha=alpha, audit=audit)

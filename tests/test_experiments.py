@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rotvec as rv
+from rotvec import fields
 from rotvec.cli import main as cli_main
 from rotvec.errors import ConfigError, RotvecError
+from rotvec.fields import LP_KEYS, SLOPE_GRID
 from rotvec.pbracket import CONSTRAINT_TOL
 
 
@@ -465,7 +467,7 @@ def test_run_example3_reduced(tmp_path):
     assert (tmp_path / "orbit.csv").exists()
 
 
-def test_run_sharpness_reduced(tmp_path):
+def test_run_sharpness_reduced(tmp_path, monkeypatch):
     cfg = {
         "experiment": "example1-sharpness",
         "family": {"family": "pinned-profile", "pins": [[0.0, 0.0], [0.5, 1.0]],
@@ -474,10 +476,21 @@ def test_run_sharpness_reduced(tmp_path):
         "integration": {"h": 0.01, "T0": 10.0, "T_max": 40.0, "tol": 1e-4},
         "thresholds": {"certified_slope_max": 2.2, "seed_pairing_slack": 1e-6},
     }
+    monkeypatch.setattr(fields, "_LP_CACHE", {})  # the first run solves the LP, the second repeats it
     report = rv.run(cfg, out_dir=tmp_path)
     assert report.passed
     prof = np.loadtxt(tmp_path / "profile.dat")
     assert prof.shape[1] == 3  # p1, u, u'
+    lp = report.results["profile_lp"]
+    assert "pass" not in lp and set(lp["value"]) == set(LP_KEYS)
+    assert lp["value"]["lp_status"] == 0 and lp["value"]["lp_rows"] < SLOPE_GRID
+    # a cached solve reports the same solver record, so the reports match byte for byte
+    again = rv.run(cfg, out_dir=tmp_path / "again")
+    first, second = report.to_json(), again.to_json()
+    first.pop("timing")
+    second.pop("timing")
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    assert (tmp_path / "profile.dat").read_bytes() == (tmp_path / "again" / "profile.dat").read_bytes()
 
 
 def test_run_nonauto_reduced(tmp_path):

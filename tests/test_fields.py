@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
 import rotvec as rv
-from rotvec.errors import InfeasiblePins
-from rotvec.fields import SLOPE_GRID, _profile_basis, _profile_poly
+from rotvec import fields
+from rotvec.errors import InfeasiblePins, RotvecError
+from rotvec.fields import (LP_KEYS, SLOPE_GRID, _min_slope_lp, _profile_basis, _profile_poly,
+                           profile_slope_certificate)
 from rotvec.trig import TWO_PI, TrigPoly
 
 SIN2 = [(0.5, [0, 0], 0, "cos"), (-0.5, [1, 0], 0, "cos")]  # sin^2(pi p1) on T^2
@@ -296,3 +298,153 @@ def test_fourier_hamiltonian_matches_per_wave_sum(dim_waves):
     got, expected = rv.fourier_hamiltonian(dim, waves).poly, per_wave_sum(dim, waves)
     for name in ("coeffs", "kvecs", "tfreq", "is_sin"):
         assert_bitwise_equal(getattr(got, name), getattr(expected, name))
+
+
+# ---------------------------------------------------------------------------
+# the constraint-exchange slope LP against the full LP it replaced
+# ---------------------------------------------------------------------------
+
+def full_slope_lp(pins, n_modes, grid_res=SLOPE_GRID):
+    """Oracle: the slope LP on all 2 x grid_res rows in one HiGHS call, the
+    solve the constraint exchange replaced."""
+    pts = np.array([t for t, _ in pins])
+    vals = np.array([v for _, v in pins])
+    n_params = 2 * n_modes + 1
+    B = _profile_basis(np.arange(grid_res) / grid_res, n_modes, derivative=True)
+    tau = np.full((grid_res, 1), -1.0)
+    res = linprog(np.append(np.zeros(n_params), 1.0), A_ub=np.block([[B, tau], [-B, tau]]),
+                  b_ub=np.zeros(2 * grid_res),
+                  A_eq=np.hstack([_profile_basis(pts, n_modes), np.zeros((len(vals), 1))]),
+                  b_eq=vals, bounds=[(None, None)] * n_params + [(0, None)], method="highs")
+    assert res.success, res.message
+    return res.x[:n_params], res.x[-1]
+
+
+def grid_slopes(theta, n_modes, grid_res=SLOPE_GRID):
+    B = _profile_basis(np.arange(grid_res) / grid_res, n_modes, derivative=True)
+    return np.abs(B @ theta)
+
+
+@pytest.mark.parametrize("n_modes", [8, 12, 16, 24, 32, 40, 48])
+def test_exchange_certifies_the_full_lp_slope_on_example1_pins(n_modes):
+    # the Example-1 optimum is unique, so the certificate (grid max plus pad)
+    # of the exchange's profile is the full LP's to rounding
+    a = (0.37 * n_modes) % 0.5
+    pins = [(a, 0.0), (a + 0.5, 1.0)]
+    meta = rv.make_pinned_profile(pins, n_modes=n_modes).metadata
+    theta, _ = full_slope_lp(pins, n_modes)
+    _, _, certified = profile_slope_certificate(_profile_poly(theta, n_modes))
+    assert abs(meta["certified_slope"] - certified) <= 1e-12
+    assert meta["lp_status"] == 0 and meta["lp_rows"] < SLOPE_GRID // 4
+
+
+@st.composite
+def pin_sets(draw):
+    """(pins, n_modes): up to 4 pins (and 2 n_modes + 1) at distinct times, 1/256 apart."""
+    n_modes = draw(st.integers(1, 12))
+    slots = draw(st.lists(st.integers(0, 255), min_size=1, max_size=min(4, 2 * n_modes + 1),
+                          unique=True))
+    shift = draw(st.floats(0.0, 1.0, exclude_max=True))
+    pins = [((i + shift) / 256, draw(st.floats(-1.0, 1.0))) for i in slots]
+    return pins, n_modes
+
+
+@settings(max_examples=12, deadline=None)
+@given(pin_sets())
+def test_exchange_matches_the_full_lp_value(pins_modes):
+    pins, n_modes = pins_modes
+    meta = rv.make_pinned_profile(pins, n_modes=n_modes).metadata
+    theta_full, tau_full = full_slope_lp(pins, n_modes)
+    # both solves hold to HiGHS's feasibility tolerances (1e-7): the one-call
+    # solve left |u'| up to 8.9e-7 (relative) above its tau on random pins
+    tol = 1e-6 * (1.0 + tau_full)
+    assert grid_slopes(theta_full, n_modes).max() <= tau_full + tol
+    # the LP value is unique even where the optimal profile is not
+    assert abs(meta["slope_grid_max"] - tau_full) <= tol
+    assert abs(meta["lp_value"] - tau_full) <= tol
+    # the returned profile is feasible on every grid row at the exchange's tau
+    theta = np.array(meta["profile_coeffs"])
+    assert grid_slopes(theta, n_modes).max() <= meta["lp_value"] + tol
+    assert meta["lp_status"] == 0 and meta["lp_rounds"] >= 1
+
+
+def test_exchange_stall_guard_solves_the_full_lp():
+    # two close pins: the optimal face is not a point, tau stops rising while
+    # rows are still violated, and the guard's round takes every row
+    pins, n_modes, grid_res = [(0.867, 0.87), (0.845, 0.17)], 5, 512
+    theta, solver = _min_slope_lp(pins, n_modes, grid_res)
+    assert solver["lp_rows"] == grid_res and solver["lp_status"] == 0
+    theta_full, tau_full = full_slope_lp(pins, n_modes, grid_res)
+    assert solver["lp_value"] == pytest.approx(tau_full, rel=1e-12)
+    assert np.array_equal(theta, theta_full)  # the guard's round is the one-call solve
+
+
+def counting_linprog(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+    monkeypatch.setattr(fields, "linprog", counted)
+    return calls
+
+
+def test_slope_lp_cache_returns_copies(monkeypatch):
+    calls = counting_linprog(monkeypatch)
+    pins = [(0.0625, 0.0), (0.5625, 1.0)]
+    F = rv.make_pinned_profile(pins, n_modes=6)
+    solved = len(calls)
+    F.metadata["profile_coeffs"][0] = 99.0
+    G = rv.make_pinned_profile(pins, n_modes=6)
+    assert len(calls) == solved  # a hit runs no solve
+    assert G.metadata["profile_coeffs"][0] != 99.0
+    assert {k: G.metadata[k] for k in LP_KEYS} == {k: F.metadata[k] for k in LP_KEYS}
+    first, _ = _min_slope_lp(pins, 6, SLOPE_GRID)
+    second, _ = _min_slope_lp(pins, 6, SLOPE_GRID)
+    assert first is not second and np.array_equal(first, second)
+    expected = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(_min_slope_lp(pins, 6, SLOPE_GRID)[0], expected)
+    assert np.array_equal(np.array(G.metadata["profile_coeffs"]), expected)
+
+
+def test_slope_lp_cache_keys_on_the_exact_inputs(monkeypatch):
+    calls = counting_linprog(monkeypatch)
+    pins = [(0.125, 0.25), (0.625, 0.75)]
+    _min_slope_lp(pins, 4, 256)
+    for other in ([(np.nextafter(0.125, 1.0), 0.25), (0.625, 0.75)],  # one ulp in a time
+                  [(0.125, 0.25), (0.625, np.nextafter(0.75, 0.0))]):  # and in a value
+        before = len(calls)
+        _min_slope_lp(other, 4, 256)
+        assert len(calls) > before
+    for n_modes, grid_res in ((5, 256), (4, 512)):
+        before = len(calls)
+        _min_slope_lp(pins, n_modes, grid_res)
+        assert len(calls) > before
+    before = len(calls)
+    _min_slope_lp(pins, 4, 256)
+    assert len(calls) == before
+
+
+def test_slope_lp_cache_is_bounded():
+    for j in range(fields._LP_CACHE_SIZE + 8):
+        _min_slope_lp([(0.0, 0.0), (0.5, j / 64)], 1, 16)
+        assert len(fields._LP_CACHE) <= fields._LP_CACHE_SIZE
+
+
+@pytest.mark.parametrize("status, error", [(2, InfeasiblePins), (4, RotvecError)])
+def test_solver_failure_is_not_reported_as_infeasible_pins(monkeypatch, status, error):
+    # HiGHS can stop with an unknown model status and a feasible point (pins
+    # (0.4212, 0.8995), (0.1059, 0.1413) at 31 modes, after 13 s or more);
+    # only its infeasible verdict (status 2) means the pins cannot be met
+    message = {2: "The problem is infeasible.",
+               4: "(HiGHS Status 15: model_status is Unknown; primal_status is Feasible)"}[status]
+    monkeypatch.setattr(fields, "_LP_CACHE", {})  # a cached solve would not reach linprog
+    monkeypatch.setattr(fields, "linprog", lambda *a, **k: OptimizeResult(
+        status=status, success=False, message=message, x=None))
+    with pytest.raises(error) as info:
+        rv.make_pinned_profile([(0.1875, 0.3), (0.4375, 0.9)], n_modes=3)
+    assert (type(info.value) is InfeasiblePins) == (status == 2)
+    assert message in str(info.value)
+    if status != 2:
+        assert f"status {status}" in str(info.value)

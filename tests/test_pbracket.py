@@ -5,7 +5,7 @@ from scipy.optimize import minimize
 
 import rotvec as rv
 from rotvec.errors import InfeasibleFamily
-from rotvec.fields import _profile_basis, _profile_poly
+from rotvec.fields import LP_KEYS, SLOPE_GRID, _profile_basis, _profile_poly
 from rotvec.pbracket import _certified_sup, bracket_poly
 from rotvec.trig import TrigPoly
 
@@ -211,6 +211,7 @@ def test_pb_upper_bound_fixed_candidate():
     assert res.value == pytest.approx(rv.sup_norm(F0, alpha, sp, grid_res=4096))
     assert res.value == pytest.approx(0.5 * np.hypot(np.pi, 5.0), abs=2e-2)
     assert res.audit["family"]["n_params"] == 0
+    assert res.audit["profile_lp"] == {}  # no profile LP behind a fixed candidate
 
 
 def test_pb_upper_bound_infeasible_family():
@@ -233,6 +234,11 @@ def test_pb_upper_bound_example1_small():
     assert res.audit["min_certified_seen"] >= 0.999
     assert res.audit["winner"]["constraints"]["ok"]
     assert res.audit["family"]["profile_null_dim"] == 2 * 24 + 1 - 2
+    # the profile LP's solver record: the exchange kept a fraction of the grid rows
+    lp = res.audit["profile_lp"]
+    assert set(lp) == set(LP_KEYS) and lp["lp_status"] == 0
+    assert lp["lp_rounds"] >= 1 and 256 <= lp["lp_rows"] < SLOPE_GRID
+    assert lp == {key: res.F.metadata[key] for key in LP_KEYS}
 
 
 def wave_sum(dim, coord, coeffs):
