@@ -17,20 +17,19 @@ a = rv.CohomologyClass([0.0, 0.5])
 X = rv.momentum_level_torus(space, [0.0])
 Xp = rv.momentum_level_torus(space, [0.5])
 
-## candidate family: pinned profiles u(p1), pins enforced exactly ------------
-family = rv.PinnedProfileFamily(space, a, [(0.0, 0.0), (0.5, 1.0)], n_modes=32)
-problem = rv.PbProblem(space, X, Xp, a, family, floor=1.0)
-print(f"family dimensions: {family.describe()}")
+## the LP candidate: the pinned profile u(p1) of minimal max|u'| -------------
+F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], n_modes=32)
+problem = rv.PbProblem(space, X, Xp, a, floor=1.0)
 
 ## certify the sup of the bracket for the LP candidate ----------------------
-result = rv.pb_upper_bound(problem, cert_grid_res=8192)
+result = rv.pb_upper_bound(problem, F, cert_grid_res=8192)
 w = result.audit["winner"]
-print(f"\ncertified upper bound: {result.value:.6f}")
+print(f"certified upper bound: {result.value:.6f}")
 print(f"  = grid max {w['grid_max']:.6f} + curvature pad {w['pad']:.2e}")
 print(f"asserted floor: {problem.floor}  ->  invariant in [{problem.floor}, {result.value:.4f}]")
 print(f"winner admissibility: {w['constraints']}")
 
 ## the bracket of the winner is (1/2) u'(p1) ---------------------------------
-b = rv.bracket(result.F, result.alpha, space, [0.25, 0.0])
+b = rv.bracket(F, rv.ClosedOneForm(a), space, [0.25, 0.0])
 print(f"\nbracket of the winner at p1 = 1/4: {b:.4f} "
       "(the profile spreads its slope almost flat)")

@@ -14,10 +14,10 @@ from .errors import (BlowUp, ConfigError, DegenerateForm, DimensionError,
 from .trig import TrigPoly
 from .geometry import (DEFAULT_GAMMA, ClosedOneForm, CohomologyClass, PhasePoint,
                        PhaseSpace, RegionSpec, RotationVector, SymplecticStructure,
-                       basis_form, cotangent_of_torus, eval_form,
-                       flux_of_translation, momentum_level_torus, one_form, pair,
-                       predicate_region, product_of_levels, standard_structure,
-                       torus, twisted_structure, wrap)
+                       cotangent_of_torus, eval_form, flux_of_translation,
+                       momentum_level_torus, one_form, pair, predicate_region,
+                       product_of_levels, standard_structure, torus, twisted_structure,
+                       wrap)
 from .fields import (HamiltonianSpec, fourier_hamiltonian, make_pinned_profile,
                      parse_family, profile_hamiltonian, profile_slope_certificate)
 from .dynamics import (Trajectory, VectorFieldSpec, hamiltonian_field, integrate,
@@ -28,8 +28,7 @@ from .measures import (ConvergenceReport, EmpiricalMeasure, average,
                        extremal_orbit_search, full_seed_grid, invariance_defect,
                        invariance_defect_bound, momentum_seed_grid,
                        rotation_pairing, rotation_vector)
-from .pbracket import (Chord, FixedCandidate, PbProblem, PbResult,
-                       PinnedProfileFamily, averaged_bracket, bracket, bracket_poly,
+from .pbracket import (Chord, PbProblem, PbResult, averaged_bracket, bracket, bracket_poly,
                        chord_search, pb_upper_bound, sup_norm)
 from .suspension import (CylinderMeasure, ExtendedPoint, SuspendedHamiltonian,
                          TimeOneOrbit, cylinder_measure_from_suspension,

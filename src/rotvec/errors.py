@@ -44,7 +44,7 @@ class InternalInconsistency(RotvecError):
 
 
 class InfeasibleFamily(RotvecError):
-    """No candidate of the optimization family satisfies the constraints."""
+    """A bracket candidate F fails its region constraints (F <= 0 on X, F >= 1 on X')."""
 
 
 class ConfigError(RotvecError):

@@ -23,14 +23,14 @@ import numpy as np
 
 from . import geometry
 from .dynamics import _steps_per_unit, hamiltonian_field, integrate, locally_hamiltonian_field
-from .errors import ConfigError, DimensionError
-from .fields import LP_KEYS, PROFILE_MODES, fourier_hamiltonian, parse_family, pin_conflict
+from .errors import ConfigError, DimensionError, InfeasibleFamily
+from .fields import (LP_KEYS, PROFILE_MODES, fourier_hamiltonian, make_pinned_profile,
+                     parse_family, pin_conflict)
 from .geometry import (CohomologyClass, momentum_level_torus, one_form, torus,
                        twisted_structure)
 from .measures import (doubling_horizons, empirical_measure, extremal_orbit_search,
                        full_seed_grid, momentum_seed_grid, rotation_vector)
-from .pbracket import (CONSTRAINT_TOL, PbProblem, PinnedProfileFamily, chord_search,
-                       pb_upper_bound)
+from .pbracket import CONSTRAINT_TOL, PbProblem, chord_search, pb_upper_bound
 from .suspension import (SuspendedHamiltonian, extended_point, map_orbit_search,
                          rotation_pairing_time_one, shift_equivariance_check,
                          suspension_flow, time_one_orbit)
@@ -169,8 +169,6 @@ def _check_family(cfg, record):
     _require("n_modes" not in family or _is_int(family["n_modes"], 1), "/family/n_modes",
              "must be a positive integer")
     _check_pins(family.get("pins"), "/family/pins", family.get("n_modes", PROFILE_MODES))
-    _require(family.get("slope_target") is None or _is_number(family["slope_target"]),
-             "/family/slope_target", "must be a number or null")
     top = n if record.translation else dim  # a translation needs a profile in a momentum
     _require("coord" not in family or _is_int(family["coord"], 0) and family["coord"] < top,
              "/family/coord", f"must be an integer in [0, {top})")
@@ -538,17 +536,21 @@ def _run_pb_upper(cfg, out):
     opt = cfg["optimizer"]
     X, Xp = (_build_region(cfg["regions"][name], space) for name in ("X", "Xp"))
     a = CohomologyClass(np.asarray(cfg["form"]["class"], dtype=float))
-    family = PinnedProfileFamily(space, a, opt["pins"], n_modes=opt["n_modes"])
-    problem = PbProblem(space, X, Xp, a, family, floor=cfg["thresholds"]["floor"])
-    result = pb_upper_bound(problem, cert_grid_res=opt["cert_grid_res"])
+    problem = PbProblem(space, X, Xp, a, floor=cfg["thresholds"]["floor"])
+    # F = u(p1), the profile in coordinate 0 that _check_optimizer checks pins against
+    F = make_pinned_profile(opt["pins"], n_modes=opt["n_modes"], dim=space.dim)
+    try:
+        result = pb_upper_bound(problem, F, cert_grid_res=opt["cert_grid_res"])
+    except InfeasibleFamily as exc:  # the pins let the LP profile cross a region's bound
+        raise ConfigError("/optimizer/pins", str(exc)) from None
     lo, hi = cfg["thresholds"]["value_range"]
     results = {
         "pb_upper_bound": _result(
             result.value, "pbracket.pb_upper_bound",
             threshold=f"in [{lo}, {hi}]", passed=lo <= result.value <= hi),
         "floor_respected": _result(
-            result.audit["min_certified_seen"], "pbracket.pb_upper_bound",
-            threshold=f">= {lo}", passed=result.audit["min_certified_seen"] >= lo),
+            result.value, "pbracket.pb_upper_bound",
+            threshold=f">= {lo}", passed=result.value >= lo),
         "winner_constraints": _result(
             result.audit["winner"]["constraints"], "pbracket.PbProblem.validate_candidate"),
     }
@@ -556,7 +558,7 @@ def _run_pb_upper(cfg, out):
     if out:
         (out / "pb_audit.json").write_text(
             json.dumps(_json_safe(result.audit), sort_keys=True, indent=2))
-        _write_profile(out / "winning_profile.dat", "p1 F dF", result.F, space.dim)
+        _write_profile(out / "winning_profile.dat", "p1 F dF", F, space.dim)
         artifacts = ["pb_audit.json", "winning_profile.dat"]
     return results, [], artifacts
 
@@ -681,7 +683,7 @@ _EXPERIMENTS = {
         {"certified_slope_max": 2.1, "seed_pairing_slack": 1e-6},
         {"space": _STANDARD,
          "family": {"family": "pinned-profile", "pins": [[0.0, 0.0], [0.5, 1.0]],
-                    "n_modes": 32, "slope_target": 2.1},
+                    "n_modes": 32},
          "form": {"class": [0.0, 1.0]},
          "seeds": {"kind": "full", "per_dim": 32}},
         "minimal-slope admissible profile caps every orbit's pairing",

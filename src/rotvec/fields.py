@@ -152,7 +152,7 @@ def pin_conflict(pins, n_modes):
     return None
 
 
-def make_pinned_profile(pins, slope_target=None, n_modes=PROFILE_MODES, dim=2, coord=0):
+def make_pinned_profile(pins, n_modes=PROFILE_MODES, dim=2, coord=0):
     """Build F = u(p_coord), the profile of minimal max|u'| with u(t_i) = v_i.
 
     One solver: a linear program (the pointwise max of |u'| over the
@@ -160,10 +160,8 @@ def make_pinned_profile(pins, slope_target=None, n_modes=PROFILE_MODES, dim=2, c
     equality rows, solved by constraint exchange and cached (``_min_slope_lp``).
     The achieved slope is certified on the same grid with a curvature pad and
     reported in the metadata, with the solver record (``LP_KEYS``), which a
-    cached solve repeats. ``slope_target`` does not enter the solve; the
-    metadata only reports whether the certificate meets it (None without one).
-    Raises ``InfeasiblePins`` for pins no profile meets and ``RotvecError``
-    when HiGHS stops without an answer.
+    cached solve repeats. Raises ``InfeasiblePins`` for pins no profile meets
+    and ``RotvecError`` when HiGHS stops without an answer.
     """
     pins = [(float(t), float(v)) for t, v in pins]
     conflict = pin_conflict(pins, n_modes)
@@ -182,11 +180,9 @@ def make_pinned_profile(pins, slope_target=None, n_modes=PROFILE_MODES, dim=2, c
         "pins": pins,
         "n_modes": n_modes,
         "coord": coord,
-        "slope_target": slope_target,
         "slope_grid_max": grid_max,
         "slope_pad": pad,
         "certified_slope": certified,
-        "slope_target_met": None if slope_target is None else bool(certified <= slope_target),
         "profile_coeffs": theta.tolist(),
         **solver,
     }
@@ -271,13 +267,14 @@ def parse_family(spec, dim):
 
     Schema: ``{"family": "fourier", "coeffs": [[c, [k...], m, "cos"], ...]}``
     or ``{"family": "pinned-profile", "pins": [[t, v], ...], "n_modes": ...,
-    "slope_target": ..., "coord": ...}``, where the last three are optional
-    and default as in ``make_pinned_profile``.
+    "coord": ...}``, where the last two are optional and default as in
+    ``make_pinned_profile``; other keys (such as the retired ``slope_target``)
+    are ignored.
     """
     family = spec.get("family")
     if family == "fourier":
         return fourier_hamiltonian(dim, spec["coeffs"])
     if family == "pinned-profile":
-        options = {key: spec[key] for key in ("slope_target", "n_modes", "coord") if key in spec}
+        options = {key: spec[key] for key in ("n_modes", "coord") if key in spec}
         return make_pinned_profile(spec["pins"], dim=dim, **options)
     raise ValueError(f"unknown Hamiltonian family {family!r}")

@@ -223,13 +223,6 @@ def one_form(coeffs, potential=None):
     return ClosedOneForm(CohomologyClass(coeffs), potential)
 
 
-def basis_form(space, index):
-    """The constant basis form [dp_index] (index < n) or [dq_{index-n}]."""
-    c = np.zeros(space.dim)
-    c[index] = 1.0
-    return ClosedOneForm(CohomologyClass(c))
-
-
 def eval_form(alpha: ClosedOneForm, v, x: PhasePoint) -> float:
     """alpha_x(v) for a tangent vector v at the point x."""
     v = np.asarray(v, dtype=float)

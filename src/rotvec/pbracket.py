@@ -9,13 +9,13 @@ trigonometric polynomial and omega has constant coefficients, the bracket is
 again an exact trigonometric polynomial: sup norms can therefore be certified
 (grid maximum plus a Fourier-coefficient curvature pad), not merely sampled.
 
-``pb_upper_bound(problem, cert_grid_res)`` certifies the sup norm of the
-bracket for the candidate of a family of admissible pairs (F <= 0 on X,
-F >= 1 on X'; alpha in a fixed class): a numerical upper bound for the
-minimax bracket invariant of (X, X', class). For pinned profiles
-F = u(x_0) the bracket is linear in the profile coefficients, so the
-family's candidate is the linear-programming optimum of max|u'| and no
-search is needed. The matching lower bound is theory input
+``pb_upper_bound(problem, F, cert_grid_res)`` certifies the sup norm of the
+bracket of a candidate F that the caller builds (F <= 0 on X, F >= 1 on X')
+with the constant form of the class: a numerical upper bound for the minimax
+bracket invariant of (X, X', class). For a pinned profile F = u(x_0) the
+bracket is linear in the profile coefficients, so the linear-programming
+optimum of max|u'| (``fields.make_pinned_profile``) is the best candidate of
+its family and no search is needed. The matching lower bound is theory input
 (non-displaceability), asserted by the caller, never computed here.
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import (_nodes, birkhoff_stream, hamiltonian_field, locally_hamiltonian_field,
                        midpoint_step)
 from .errors import InfeasibleFamily, InternalInconsistency
-from .fields import LP_KEYS, HamiltonianSpec, _profile_basis, make_pinned_profile
+from .fields import LP_KEYS, HamiltonianSpec
 from .geometry import (ClosedOneForm, CohomologyClass, PhasePoint, PhaseSpace,
                        RegionSpec, circular_residual, wrap)
 from .measures import pairing_integrand
@@ -123,51 +123,9 @@ def averaged_bracket(F, alpha, space, x, T, h) -> float:
 # minimax problems
 # ---------------------------------------------------------------------------
 
-class FixedCandidate:
-    """A single fixed pair (F, alpha)."""
-
-    def __init__(self, F, alpha):
-        self.F, self.alpha = F, alpha
-
-    def candidate(self):
-        return self.F, self.alpha
-
-    def describe(self):
-        return {"kind": "fixed", "n_params": 0}
-
-
-class PinnedProfileFamily:
-    """Profiles F = u(x_0) with pinned values, paired with alpha = a.
-
-    For F = u(x_0) the bracket is {F, alpha} = (a . Omega^{-1} e_0) u'(x_0)
-    (a potential g(x_0) adds g' u' (Omega^{-1})_00 = 0, as Omega^{-1} is
-    antisymmetric). The objective is therefore linear in the profile
-    coefficients, and its optimum over the pinned family is the minimal-slope
-    profile that ``fields.make_pinned_profile`` solves for (up to its slope
-    grid). The profile sits in coordinate 0, so a region pinning x_0 at a
-    level fixes F there to a pinned value; ``validate_config`` relies on it.
-    """
-
-    def __init__(self, space, a: CohomologyClass, pins, n_modes=32):
-        self.space = space
-        self.a = a
-        self.pins = [(float(t), float(v)) for t, v in pins]
-        self.n_modes = n_modes
-
-    def candidate(self):
-        F = make_pinned_profile(self.pins, n_modes=self.n_modes, dim=self.space.dim)
-        return F, ClosedOneForm(self.a)
-
-    def describe(self):
-        pins = _profile_basis([t for t, _ in self.pins], self.n_modes)
-        null_dim = 2 * self.n_modes + 1 - int(np.linalg.matrix_rank(pins))
-        return {"kind": "pinned-profile", "profile_null_dim": null_dim,
-                "n_modes": self.n_modes}
-
-
 @dataclass
 class PbProblem:
-    """A minimax bracket problem: disjoint regions, a class, a candidate family.
+    """A minimax bracket problem: disjoint regions X, X' and a class a.
 
     ``floor`` is the asserted theoretical lower bound for the invariant (from
     non-displaceability of the pair); it is an input, not a computation, and
@@ -178,7 +136,6 @@ class PbProblem:
     X: RegionSpec
     Xp: RegionSpec
     a: CohomologyClass
-    family: FixedCandidate | PinnedProfileFamily
     floor: float | None = None
 
     def __post_init__(self):
@@ -198,38 +155,44 @@ class PbProblem:
 @dataclass
 class PbResult:
     value: float
-    F: HamiltonianSpec
-    alpha: ClosedOneForm
     audit: dict
 
 
-def pb_upper_bound(problem: PbProblem, cert_grid_res=4096) -> PbResult:
-    """Certify the sup norm of {F, alpha} for the family's candidate.
+def pb_upper_bound(problem: PbProblem, F: HamiltonianSpec, cert_grid_res=4096) -> PbResult:
+    """Certify the sup norm of {F, a} for the candidate F.
 
-    The candidate is validated against the region constraints, its bracket is
-    certified on a ``cert_grid_res`` grid (grid maximum plus Lipschitz pad),
-    and the audit records the constraint checks, the family dimensions, the
-    certified split and the profile LP's solver record.
+    F is validated against the region constraints (``InfeasibleFamily``, with
+    ``X_max`` and ``Xp_min``, when it fails), its bracket with the constant
+    form a is certified on a ``cert_grid_res`` grid (grid maximum plus
+    Lipschitz pad), and the audit records the constraint checks, the
+    certified split and F's profile LP record (empty for other candidates).
+
+    Why a pinned profile F = u(x_0) from ``fields.make_pinned_profile`` is
+    the best candidate of its family: the bracket is {F, a + dg} =
+    (a . Omega^{-1} e_0) u'(x_0), since a potential g(x_0) adds
+    g' u' (Omega^{-1})_00 = 0 (Omega^{-1} is antisymmetric). The objective is
+    therefore linear in the profile coefficients, and its optimum over the
+    pinned profiles is the minimal-slope profile that the LP solves for (up
+    to its slope grid), paired with alpha = a.
     """
-    F, alpha = problem.family.candidate()
     ok, constraint_audit = problem.validate_candidate(F)
     if not ok:
-        raise InfeasibleFamily("the family's candidate fails the region constraints")
-    grid_max, pad = _certified_sup(bracket_poly(F, alpha, problem.space), cert_grid_res)
+        raise InfeasibleFamily(
+            f"the candidate fails the region constraints: X_max = {constraint_audit['X_max']} "
+            f"(F <= 0 on X), Xp_min = {constraint_audit['Xp_min']} (F >= 1 on X')")
+    grid_max, pad = _certified_sup(bracket_poly(F, ClosedOneForm(problem.a), problem.space),
+                                   cert_grid_res)
     certified = grid_max + pad
     audit = {
-        "family": problem.family.describe(),
         "restarts": [],  # no search runs; the key stays for readers of the audit schema
         "cert_grid_res": cert_grid_res,
         "floor_asserted": problem.floor,
         # the audited pad is certified - grid_max, so the two add up to certified exactly
         "winner": {"constraints": constraint_audit, "grid_max": grid_max,
                    "pad": certified - grid_max, "certified": certified},
-        # the profile LP's solver record; empty for a fixed candidate
         "profile_lp": {key: F.metadata[key] for key in LP_KEYS if key in F.metadata},
-        "min_certified_seen": float(certified),
     }
-    return PbResult(value=float(certified), F=F, alpha=alpha, audit=audit)
+    return PbResult(value=float(certified), audit=audit)
 
 
 # ---------------------------------------------------------------------------

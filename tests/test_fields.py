@@ -133,10 +133,9 @@ def test_min_slope_oracle_value():
 
 
 def test_pinned_profile_meets_slope_target():
-    F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], slope_target=2.1, n_modes=32)
+    F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], n_modes=32)
     meta = F.metadata
     assert meta["certified_slope"] <= 2.1
-    assert meta["slope_target_met"]
     # pins reproduced
     assert F.eval([0.0, 0.0]) == pytest.approx(0.0, abs=1e-10)
     assert F.eval([0.5, 0.0]) == pytest.approx(1.0, abs=1e-10)
@@ -145,7 +144,7 @@ def test_pinned_profile_meets_slope_target():
 
 
 def test_pinned_profile_certificate_dominates_fine_grid():
-    F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], slope_target=2.1, n_modes=16)
+    F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], n_modes=16)
     t = np.arange(16384) / 16384.0
     pts = np.zeros((len(t), 2))
     pts[:, 0] = t
@@ -174,10 +173,9 @@ def test_infeasible_pins_mod_one_and_too_many(pins, n_modes):
 
 def test_twelve_modes_cannot_certify_2_1():
     # the minimax slope of a 12-mode profile with these pins is ~2.186, so the
-    # requested target is reported unmet rather than silently claimed
-    F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], slope_target=2.1, n_modes=12)
+    # certificate reports a slope above 2.1 rather than silently claiming it
+    F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], n_modes=12)
     assert F.metadata["certified_slope"] > 2.1
-    assert F.metadata["slope_target_met"] is False
 
 
 def test_parse_family_roundtrip():
@@ -191,20 +189,9 @@ def test_parse_family_roundtrip():
         rv.parse_family({"family": "nope"}, 2)
 
 
-def test_null_slope_target_solves_the_same_lp():
-    # the target only reports: the profile and its certificate do not depend on it
-    pins = [(0.0, 0.0), (0.5, 1.0)]
-    null = rv.make_pinned_profile(pins, n_modes=16)
-    target = rv.make_pinned_profile(pins, slope_target=2.1, n_modes=16)
-    assert null.metadata["slope_target_met"] is None
-    assert target.metadata["slope_target_met"] is False
-    for key in ("certified_slope", "slope_grid_max", "slope_pad", "profile_coeffs"):
-        assert null.metadata[key] == target.metadata[key]
-
-
 def test_derived_hamiltonians_carry_no_metadata():
     # 2 F has twice F's slope: a certificate copied onto it would be false
-    F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], slope_target=2.1, n_modes=16)
+    F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], n_modes=16)
     for G in (2 * F, F * 2.0, F + 1.0, F + F, F * F):
         assert G.metadata == {}
     assert not hasattr(F, "family")

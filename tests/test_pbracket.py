@@ -16,13 +16,17 @@ def sin2():
     return rv.fourier_hamiltonian(2, SIN2)
 
 
-def example1_problem(n_modes=24, shift=0.0):
+def example1_problem(shift=0.0):
     sp = rv.torus(1)
     a = rv.CohomologyClass([0.0, 0.5])
     X = rv.momentum_level_torus(sp, [shift])
     Xp = rv.momentum_level_torus(sp, [shift + 0.5])
-    fam = rv.PinnedProfileFamily(sp, a, [(shift, 0.0), (shift + 0.5, 1.0)], n_modes=n_modes)
-    return rv.PbProblem(sp, X, Xp, a, fam, floor=1.0)
+    return rv.PbProblem(sp, X, Xp, a, floor=1.0)
+
+
+def example1_profile(n_modes=24, shift=0.0):
+    """The LP candidate F = u(p1) pinned to 0 on X and 1 on X'."""
+    return rv.make_pinned_profile([(shift, 0.0), (shift + 0.5, 1.0)], n_modes=n_modes)
 
 
 def test_bracket_examples():
@@ -111,7 +115,7 @@ def test_sup_norm_examples():
 def test_sup_norm_certificate_monotone():
     # certified bound at a coarse grid dominates the raw max on a finer grid
     sp = rv.torus(1)
-    F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], slope_target=2.2, n_modes=16)
+    F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], n_modes=16)
     alpha = rv.one_form([0.0, 0.5])
     cert_coarse = rv.sup_norm(F, alpha, sp, grid_res=512)
     raw_fine = _certified_sup(bracket_poly(F, alpha, sp), 2048)[0]
@@ -186,10 +190,8 @@ def test_pb_problem_validation():
     a = rv.CohomologyClass([0.0, 0.5])
     X = rv.momentum_level_torus(sp, [0.0])
     with pytest.raises(ValueError):
-        rv.PbProblem(sp, X, rv.momentum_level_torus(sp, [0.0]), a,
-                     rv.FixedCandidate(sin2(), rv.ClosedOneForm(a)))
-    prob = rv.PbProblem(sp, X, rv.momentum_level_torus(sp, [0.5]), a,
-                        rv.FixedCandidate(sin2(), rv.ClosedOneForm(a)))
+        rv.PbProblem(sp, X, rv.momentum_level_torus(sp, [0.0]), a)
+    prob = rv.PbProblem(sp, X, rv.momentum_level_torus(sp, [0.5]), a)
     ok, audit = prob.validate_candidate(sin2())
     assert ok and audit["X_max"] <= 1e-9 and audit["Xp_min"] >= 1.0 - 1e-9
     bad = rv.fourier_hamiltonian(2, [(0.25, [0, 0], 0, "cos"),
@@ -206,11 +208,10 @@ def test_pb_upper_bound_fixed_candidate():
     Xp = rv.momentum_level_torus(sp, [0.5])
     F0 = rv.fourier_hamiltonian(2, SIN2 + [(5.0 / (2 * np.pi), [1, 0], 0, "sin")])
     alpha = rv.ClosedOneForm(a)
-    prob = rv.PbProblem(sp, X, Xp, a, rv.FixedCandidate(F0, alpha))
-    res = rv.pb_upper_bound(prob, cert_grid_res=4096)
+    prob = rv.PbProblem(sp, X, Xp, a)
+    res = rv.pb_upper_bound(prob, F0, cert_grid_res=4096)
     assert res.value == pytest.approx(rv.sup_norm(F0, alpha, sp, grid_res=4096))
     assert res.value == pytest.approx(0.5 * np.hypot(np.pi, 5.0), abs=2e-2)
-    assert res.audit["family"]["n_params"] == 0
     assert res.audit["profile_lp"] == {}  # no profile LP behind a fixed candidate
 
 
@@ -220,25 +221,24 @@ def test_pb_upper_bound_infeasible_family():
     X = rv.momentum_level_torus(sp, [0.0])
     Xp = rv.momentum_level_torus(sp, [0.5])
     bad = rv.fourier_hamiltonian(2, [(0.1, [1, 0], 0, "sin")])  # violates both pins
-    prob = rv.PbProblem(sp, X, Xp, a, rv.FixedCandidate(bad, rv.ClosedOneForm(a)))
-    with pytest.raises(InfeasibleFamily):
-        rv.pb_upper_bound(prob)
+    prob = rv.PbProblem(sp, X, Xp, a)
+    with pytest.raises(InfeasibleFamily, match=r"X_max = .*Xp_min = "):
+        rv.pb_upper_bound(prob, bad)
 
 
 def test_pb_upper_bound_example1_small():
     # reduced-budget version of the flagship run: still certifies inside the
     # [floor, oracle-ceiling] bracket
-    prob = example1_problem(n_modes=24)
-    res = rv.pb_upper_bound(prob, cert_grid_res=8192)
+    F = example1_profile(n_modes=24)
+    res = rv.pb_upper_bound(example1_problem(), F, cert_grid_res=8192)
     assert 0.999 <= res.value <= 1.06
-    assert res.audit["min_certified_seen"] >= 0.999
+    assert res.value >= 0.999
     assert res.audit["winner"]["constraints"]["ok"]
-    assert res.audit["family"]["profile_null_dim"] == 2 * 24 + 1 - 2
     # the profile LP's solver record: the exchange kept a fraction of the grid rows
     lp = res.audit["profile_lp"]
     assert set(lp) == set(LP_KEYS) and lp["lp_status"] == 0
     assert lp["lp_rounds"] >= 1 and 256 <= lp["lp_rows"] < SLOPE_GRID
-    assert lp == {key: res.F.metadata[key] for key in LP_KEYS}
+    assert lp == {key: F.metadata[key] for key in LP_KEYS}
 
 
 def wave_sum(dim, coord, coeffs):
@@ -334,15 +334,15 @@ def test_bracket_poly_bitwise_on_the_standard_form(data):
 
 
 def test_bracket_poly_bitwise_for_the_pb_upper_candidate():
-    problem = example1_problem(n_modes=32)
-    F, alpha = problem.family.candidate()
+    problem = example1_problem()
+    F, alpha = example1_profile(n_modes=32), rv.ClosedOneForm(problem.a)
     got = bracket_poly(F, alpha, problem.space)
     expected = nested_loop_bracket_poly(F, alpha, problem.space)
     for name in ("coeffs", "kvecs", "tfreq", "is_sin"):
         assert np.array_equal(getattr(got, name), getattr(expected, name))
 
 
-def nelder_mead_oracle(problem, restarts=2, max_evals=80, grid_res=512,
+def nelder_mead_oracle(problem, pins, n_modes, restarts=2, max_evals=80, grid_res=512,
                        cert_grid_res=8192, spread=0.5, seed=0):
     """The search pb_upper_bound replaced, as the differential reference.
 
@@ -350,17 +350,17 @@ def nelder_mead_oracle(problem, restarts=2, max_evals=80, grid_res=512,
     minimal-slope profile and later restarts from random perturbations of it;
     the best value on the coarse grid is re-certified on the fine one.
     """
-    fam, sp = problem.family, problem.space
+    sp = problem.space
     alpha = rv.ClosedOneForm(problem.a)
-    P = _profile_basis([t for t, _ in fam.pins], fam.n_modes)
-    theta0, *_ = np.linalg.lstsq(P, [v for _, v in fam.pins], rcond=None)
+    P = _profile_basis([t for t, _ in pins], n_modes)
+    theta0, *_ = np.linalg.lstsq(P, [v for _, v in pins], rcond=None)
     _, sv, vt = np.linalg.svd(P)
     null = vt[int((sv > 1e-12 * sv[0]).sum()):].T
-    seed_profile = rv.make_pinned_profile(fam.pins, n_modes=fam.n_modes)
+    seed_profile = rv.make_pinned_profile(pins, n_modes=n_modes)
     z_seed = null.T @ (np.array(seed_profile.metadata["profile_coeffs"]) - theta0)
 
     def build(z):
-        return rv.profile_hamiltonian(_profile_poly(theta0 + null @ z, fam.n_modes), sp.dim)
+        return rv.profile_hamiltonian(_profile_poly(theta0 + null @ z, n_modes), sp.dim)
 
     def objective(z):
         F = build(z)
@@ -381,9 +381,9 @@ def nelder_mead_oracle(problem, restarts=2, max_evals=80, grid_res=512,
 
 @pytest.mark.parametrize("shift", [0.0, 0.13])
 def test_pb_upper_bound_no_worse_than_nelder_mead(shift):
-    prob = example1_problem(n_modes=24, shift=shift)
-    value = rv.pb_upper_bound(prob, cert_grid_res=8192).value
-    assert 0.999 <= value <= nelder_mead_oracle(prob) + 1e-9
+    prob, F = example1_problem(shift=shift), example1_profile(n_modes=24, shift=shift)
+    value = rv.pb_upper_bound(prob, F, cert_grid_res=8192).value
+    assert 0.999 <= value <= nelder_mead_oracle(prob, F.metadata["pins"], 24) + 1e-9
 
 
 def test_chord_search_examples():
@@ -453,7 +453,7 @@ def test_time_one_pairing_quadrature_warning():
 
 def test_chord_time_bounded_by_floor():
     # the guaranteed bound is 1/floor with the asserted theoretical floor
-    prob = example1_problem(n_modes=24)
+    prob = example1_problem()
     sp = prob.space
     chord = rv.chord_search(rv.ClosedOneForm(prob.a), sp, prob.X, prob.Xp,
                             t_max=2.0, h=1e-2)
