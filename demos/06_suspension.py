@@ -16,7 +16,7 @@ space = rv.torus(1)
 # sin^2(pi p1) + 0.2 sin(2 pi s) sin(2 pi p1), expanded into waves
 F = rv.fourier_hamiltonian(2, [(0.5, [0, 0], 0, "cos"), (-0.5, [1, 0], 0, "cos"),
                                (0.1, [1, 0], -1, "cos"), (-0.1, [1, 0], 1, "cos")])
-print(f"time-dependent: {not F.autonomous}, period {F.period}")
+print(f"time-dependent: {F.is_time_dependent}")
 
 ## the suspension conserves H and keeps r in a band ---------------------------
 H = rv.SuspendedHamiltonian(F, space)

@@ -18,11 +18,11 @@ from .geometry import (DEFAULT_GAMMA, ClosedOneForm, CohomologyClass, PhasePoint
                        momentum_level_torus, one_form, pair, predicate_region,
                        product_of_levels, standard_structure, torus, twisted_structure,
                        wrap)
-from .fields import (HamiltonianSpec, fourier_hamiltonian, make_pinned_profile,
-                     parse_family, profile_hamiltonian, profile_slope_certificate)
+from .fields import (fourier_hamiltonian, make_pinned_profile, parse_family,
+                     profile_hamiltonian, profile_slope_certificate)
 from .dynamics import (Trajectory, VectorFieldSpec, hamiltonian_field, integrate,
                        locally_hamiltonian_field, reversed_field, sgrad,
-                       sgrad_form, time_one_map)
+                       sgrad_form)
 from .measures import (ConvergenceReport, EmpiricalMeasure, average,
                        empirical_measure, exact_boundary_term,
                        extremal_orbit_search, full_seed_grid, invariance_defect,

@@ -30,7 +30,7 @@ def _load_config(path):
 
 def cmd_run(args):
     config = _load_config(args.config)
-    out = args.out or f"rotvec-results/{config.get('experiment', 'run')}"
+    out = args.out or f"rotvec-results/{validate_config(config)['experiment']}"
     report = run(config, out_dir=out)
     print(f"experiment: {report.experiment}")
     for name, entry in report.results.items():
@@ -86,7 +86,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(f"config error at {exc.path or '<root>'}: {exc}", file=sys.stderr)
+        print(f"config error at {exc.path or '<root>'}: {exc.message}", file=sys.stderr)
         return 2
     except RotvecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BlowUp, DegenerateForm, DimensionError, StiffStep
-from .fields import HamiltonianSpec
-from .geometry import ClosedOneForm, PhasePoint, PhaseSpace, wrap, wrap_batch
+from .geometry import ClosedOneForm, PhaseSpace, wrap_batch
 from .trig import TrigPoly
 
 FP_TOL = 1e-12
@@ -68,12 +67,12 @@ class VectorFieldSpec:
         return float(np.abs(omega.T @ v - beta).max())
 
 
-def hamiltonian_field(F: HamiltonianSpec, space: PhaseSpace) -> VectorFieldSpec:
+def hamiltonian_field(F: TrigPoly, space: PhaseSpace) -> VectorFieldSpec:
     """The Hamiltonian vector field of F: v = Omega^{-1} grad F."""
     if F.dim != space.dim:
         raise DimensionError(f"F has dim {F.dim}, space has {space.dim}")
-    vel = F.poly.gradient_map(space.omega.inverse)
-    conserved = F.poly.eval if F.autonomous else None
+    vel = F.gradient_map(space.omega.inverse)
+    conserved = None if F.is_time_dependent else F.eval
     return VectorFieldSpec("hamiltonian", space, vel, conserved, source=F)
 
 
@@ -96,7 +95,7 @@ def sgrad_form(alpha: ClosedOneForm, space: PhaseSpace, x) -> np.ndarray:
     return v
 
 
-def sgrad(F: HamiltonianSpec, space: PhaseSpace, x, s=0.0) -> np.ndarray:
+def sgrad(F: TrigPoly, space: PhaseSpace, x, s=0.0) -> np.ndarray:
     """The Hamiltonian vector field of F at a single point (minus-sign convention)."""
     x = np.asarray(getattr(x, "lift", x), dtype=float)
     return space.omega.inverse @ F.grad(x, s)
@@ -124,17 +123,6 @@ class Trajectory:
     @property
     def T(self):
         return float(self.times[-1] - self.times[0])
-
-    def point(self, i) -> PhasePoint:
-        return wrap(self.lifts[i], self.space)
-
-    @property
-    def initial(self) -> PhasePoint:
-        return self.point(0)
-
-    @property
-    def final(self) -> PhasePoint:
-        return self.point(-1)
 
     def wrapped(self):
         return wrap_batch(self.lifts, self.space)
@@ -268,19 +256,6 @@ def _steps_per_unit(h):
     if m < 1 or abs(m * h - 1.0) > 1e-12:
         raise ValueError(f"h = {h} does not divide the unit period")
     return m
-
-
-def time_one_map(F: HamiltonianSpec, space: PhaseSpace, x0, h):
-    """Time-one map of a 1-periodic Hamiltonian, plus the full unit arc.
-
-    Requires h = 1/m for integer m so that node times tile the period; returns
-    (phi(x0), arc) where the arc is the trajectory {phi_t x0}, t in [0, 1],
-    whose lift displacement gives loop integrals of constant-coefficient forms
-    exactly.
-    """
-    _steps_per_unit(h)
-    arc = integrate(hamiltonian_field(F, space), x0, 1.0, h)
-    return arc.final, arc
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,12 @@ class InfeasibleFamily(RotvecError):
 class ConfigError(RotvecError):
     """An experiment configuration failed validation.
 
-    Carries a JSON-pointer-style ``path`` locating the offending entry.
+    Carries a JSON-pointer-style ``path`` locating the offending entry ("" for
+    the config as a whole) and the ``message`` without it.
     """
 
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
 
 

@@ -329,7 +329,7 @@ def _build_space(cfg):
 
 def _build_form(cfg, dim):
     waves = cfg["form"]["potential"] or []
-    potential = fourier_hamiltonian(dim, [(c, k, 0, kind) for c, k, kind in waves]).poly
+    potential = fourier_hamiltonian(dim, [(c, k, 0, kind) for c, k, kind in waves])
     return one_form(cfg["form"]["class"], potential if waves else None)
 
 
@@ -616,11 +616,11 @@ def _run_nonauto(cfg, out):
     unit_idx = np.arange(0, len(straj), round(1.0 / integ["h"]))
     h_drift = float(np.max(np.abs(straj.energies[unit_idx] - straj.energies[0])))
     r_max = float(np.max(np.abs(straj.lifts[:, space.n])))
-    n_axes = max(1, len(F.poly.active_dims()) + F.poly.is_time_dependent)
+    n_axes = max(1, len(F.active_dims()) + F.is_time_dependent)
     grid_res = min(512, int(2 ** (18 / n_axes)))  # <= 2**18 points
     # max F - min F bounds |r| on orbits from r = 0; the grid range falls short
     # of it by at most twice the Lipschitz pad, so the sum is an upper bound
-    f_range = float(np.ptp(F.poly.grid_values(grid_res))) + F.poly.grad_l1_bound() / grid_res
+    f_range = float(np.ptp(F.grid_values(grid_res))) + F.grad_l1_bound() / grid_res
     equiv = shift_equivariance_check(H, z0, 1.0, 10.0, integ["h"])
 
     results = {

@@ -1,9 +1,12 @@
 """Analytic Hamiltonian families with exact derivatives.
 
-All Hamiltonians are finite trigonometric polynomials in the phase-space
-coordinates, optionally 1-periodic in time; sums and products stay in the
-family, so gradients and time derivatives are closed-form everywhere and
-long-horizon averaging never sees differentiation noise.
+A Hamiltonian is a ``trig.TrigPoly``: a finite trigonometric polynomial in
+the phase-space coordinates, optionally 1-periodic in time. Sums and products
+stay in the family, so gradients and time derivatives are closed-form
+everywhere and long-horizon averaging never sees differentiation noise. The
+builders here return one: ``fourier_hamiltonian`` from a list of waves, and
+``make_pinned_profile`` a profile F = u(p_coord) whose ``metadata`` holds its
+pins, its certified slope bound and the slope LP's solver record.
 """
 
 from __future__ import annotations
@@ -27,73 +30,19 @@ _LP_CACHE = {}
 _LP_CACHE_SIZE = 16
 
 
-class HamiltonianSpec:
-    """A member of an analytic parametric family F(x) or F(x, s).
-
-    Thin wrapper over a TrigPoly adding the time period (1 for time-dependent
-    members, None for autonomous) and metadata true of this member (pin
-    constraints and certified slope bounds for profiles). Sums, products and
-    scalar multiples carry no metadata.
-    """
-
-    def __init__(self, poly: TrigPoly, metadata=None):
-        self.poly = poly
-        self.metadata = dict(metadata or {})
-        self.period = 1.0 if poly.is_time_dependent else None
-
-    @property
-    def dim(self):
-        return self.poly.dim
-
-    @property
-    def autonomous(self):
-        return self.period is None
-
-    def eval(self, x, s=0.0):
-        """F(x, s); accepts a PhasePoint, a coordinate vector, or a batch."""
-        return self.poly.eval(_coords(x), s)
-
-    def grad(self, x, s=0.0):
-        """The differential dF at (x, s) as a covector (batch-aware)."""
-        return self.poly.grad(_coords(x), s)
-
-    def dds(self, x, s=0.0):
-        """Exact dF/ds; identically zero for autonomous members."""
-        return self.poly.dt(_coords(x), s)
-
-    def __add__(self, other):
-        other_poly = other.poly if isinstance(other, HamiltonianSpec) else TrigPoly.constant(self.dim, float(other))
-        return HamiltonianSpec(self.poly + other_poly)
-
-    def __mul__(self, other):
-        if isinstance(other, HamiltonianSpec):
-            return HamiltonianSpec(self.poly.product(other.poly))
-        return HamiltonianSpec(self.poly * float(other))
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"HamiltonianSpec(dim={self.dim}, terms={self.poly.n_terms}, period={self.period})"
-
-
-def _coords(x):
-    lift = getattr(x, "lift", x)
-    return np.asarray(lift, dtype=float)
-
-
 def fourier_hamiltonian(dim, terms):
     """F = sum of (coeff, kvec, tfreq, kind) waves over R^dim x time."""
     coeffs, kvecs, tfreqs, kinds = zip(*terms) if terms else ((),) * 4
     is_sin = [SIN if kind == "sin" else COS for kind in kinds]
-    return HamiltonianSpec(TrigPoly(dim, coeffs, kvecs, tfreqs, is_sin))
+    return TrigPoly(dim, coeffs, kvecs, tfreqs, is_sin)
 
 
 def profile_hamiltonian(profile_poly: TrigPoly, dim, coord=0, metadata=None):
     """Lift a 1-variable profile u to F(x) = u(x_coord) on a dim-dimensional space."""
     kvecs = np.zeros((profile_poly.n_terms, dim), dtype=np.int64)
     kvecs[:, coord] = profile_poly.kvecs[:, 0]
-    poly = TrigPoly(dim, profile_poly.coeffs, kvecs, profile_poly.tfreq, profile_poly.is_sin)
-    return HamiltonianSpec(poly, metadata=metadata)
+    return TrigPoly(dim, profile_poly.coeffs, kvecs, profile_poly.tfreq, profile_poly.is_sin,
+                    metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +212,7 @@ def _min_slope_lp(pins, n_modes, grid_res):
 # ---------------------------------------------------------------------------
 
 def parse_family(spec, dim):
-    """Build a HamiltonianSpec from its JSON description.
+    """Build a Hamiltonian from its JSON description.
 
     Schema: ``{"family": "fourier", "coeffs": [[c, [k...], m, "cos"], ...]}``
     or ``{"family": "pinned-profile", "pins": [[t, v], ...], "n_modes": ...,

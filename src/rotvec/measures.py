@@ -22,10 +22,9 @@ import numpy as np
 from .dynamics import (Trajectory, VectorFieldSpec, _trapezoid_weights, birkhoff_stream,
                        hamiltonian_field, integrate)
 from .errors import DimensionError, EmptyTrajectory
-from .fields import HamiltonianSpec
 from .geometry import (ClosedOneForm, PhaseSpace, RotationVector, wrap,
                        wrap_batch)
-from .trig import lattice_indices
+from .trig import TrigPoly, lattice_indices
 
 
 @dataclass
@@ -81,13 +80,13 @@ def measure_from_iterates(space, lifts, provenance=None, source=None) -> Empiric
 def average(mu: EmpiricalMeasure, H) -> float:
     """Integral of H against mu: a weighted sum over the samples.
 
-    H may be a callable on a lift batch (N, dim) -> (N,) or a HamiltonianSpec.
+    H may be a callable on a lift batch (N, dim) -> (N,) or a TrigPoly.
     """
-    values = H.eval(mu.lifts) if isinstance(H, HamiltonianSpec) else np.asarray(H(mu.lifts))
+    values = H.eval(mu.lifts) if isinstance(H, TrigPoly) else np.asarray(H(mu.lifts))
     return float(mu.weights @ values)
 
 
-def rotation_pairing(mu: EmpiricalMeasure, F: HamiltonianSpec, alpha: ClosedOneForm) -> float:
+def rotation_pairing(mu: EmpiricalMeasure, F: TrigPoly, alpha: ClosedOneForm) -> float:
     """mu-average of alpha(sgrad F): the pairing <[alpha], rho(mu, sgrad F)>.
 
     For flow-generated mu the exact part of alpha contributes only the
@@ -111,7 +110,7 @@ def exact_boundary_term(mu: EmpiricalMeasure, alpha: ClosedOneForm) -> float:
     return float((g.eval(mu.source.lifts[-1]) - g.eval(mu.source.lifts[0])) / T)
 
 
-def rotation_vector(mu: EmpiricalMeasure, F: HamiltonianSpec) -> RotationVector:
+def rotation_vector(mu: EmpiricalMeasure, F: TrigPoly) -> RotationVector:
     """rho(mu, sgrad F): pairings against every basis form, assembled in H_1.
 
     The basis form [dp_i] (resp. [dq_i]) pairs to the mu-average of the i-th
@@ -242,7 +241,7 @@ def invariance_defect(mu: EmpiricalMeasure, field: VectorFieldSpec, s, H) -> flo
     if s <= 0:
         raise ValueError("shift time must be positive")
     traj = mu.source
-    evalH = (lambda X: H.eval(X)) if isinstance(H, HamiltonianSpec) else H
+    evalH = H.eval if isinstance(H, TrigPoly) else H
     base = float(mu.weights @ np.asarray(evalH(mu.lifts)))
     if traj is not None and abs(round(s / traj.h) * traj.h - s) < 1e-9:
         m = round(s / traj.h)

@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import (_nodes, birkhoff_stream, hamiltonian_field, locally_hamiltonian_field,
                        midpoint_step)
 from .errors import InfeasibleFamily, InternalInconsistency
-from .fields import LP_KEYS, HamiltonianSpec
+from .fields import LP_KEYS
 from .geometry import (ClosedOneForm, CohomologyClass, PhasePoint, PhaseSpace,
                        RegionSpec, circular_residual, wrap)
 from .measures import pairing_integrand
@@ -39,7 +39,7 @@ CONSTRAINT_TOL = 1e-9  # slack of the admissibility checks F <= 0 on X, F >= 1 o
 LANDING_TOL = 1e-6  # largest membership defect of X' at a counted chord landing
 
 
-def bracket_poly(F: HamiltonianSpec, alpha: ClosedOneForm, space: PhaseSpace) -> TrigPoly:
+def bracket_poly(F: TrigPoly, alpha: ClosedOneForm, space: PhaseSpace) -> TrigPoly:
     """{F, alpha} as an exact trigonometric polynomial (in x, and s if F is).
 
     Computed as alpha(sgrad F) = (class + grad g) . (Omega^{-1} grad F): the
@@ -49,16 +49,16 @@ def bracket_poly(F: HamiltonianSpec, alpha: ClosedOneForm, space: PhaseSpace) ->
     the result are exact and usable for certified bounds.
     """
     inv = space.omega.inverse
-    out = F.poly.derivative(inv.T @ alpha.cclass.coeffs)
+    out = F.derivative(inv.T @ alpha.cclass.coeffs)
     if alpha.potential is not None:
         for i in range(F.dim):
             dg_i = alpha.potential.partial(i)
             if dg_i.n_terms:
-                out = out + dg_i.product(F.poly.derivative(inv[i]))
+                out = out + dg_i.product(F.derivative(inv[i]))
     return out
 
 
-def bracket(F: HamiltonianSpec, alpha: ClosedOneForm, space: PhaseSpace, x, s=0.0) -> float:
+def bracket(F: TrigPoly, alpha: ClosedOneForm, space: PhaseSpace, x, s=0.0) -> float:
     """{F, alpha}(x, s), evaluated both ways as a convention check.
 
     Returns dF(sgrad alpha); raises InternalInconsistency if the second route
@@ -158,7 +158,7 @@ class PbResult:
     audit: dict
 
 
-def pb_upper_bound(problem: PbProblem, F: HamiltonianSpec, cert_grid_res=4096) -> PbResult:
+def pb_upper_bound(problem: PbProblem, F: TrigPoly, cert_grid_res=4096) -> PbResult:
     """Certify the sup norm of {F, a} for the candidate F.
 
     F is validated against the region constraints (``InfeasibleFamily``, with

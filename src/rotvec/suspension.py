@@ -23,7 +23,6 @@ import numpy as np
 from .dynamics import (Trajectory, VectorFieldSpec, _steps_per_unit, _trapezoid_weights,
                        birkhoff_stream, hamiltonian_field, integrate)
 from .errors import QuadratureWarning
-from .fields import HamiltonianSpec
 from .geometry import (ClosedOneForm, PhasePoint, PhaseSpace, RegionSpec,
                        SymplecticStructure, wrap)
 from .measures import (ConvergenceReport, EmpiricalMeasure, doubling_horizons,
@@ -86,17 +85,16 @@ def extended_point(base_lift, r, s, nspace: PhaseSpace) -> PhasePoint:
 class SuspendedHamiltonian:
     """H(x, r, s) = F(x, s) + r on the extended space, autonomous by construction."""
 
-    def __init__(self, F: HamiltonianSpec, base_space: PhaseSpace):
+    def __init__(self, F: TrigPoly, base_space: PhaseSpace):
         self.F = F
         self.base_space = base_space
         self.nspace = extend_space(base_space)
         n, d = base_space.n, base_space.dim
         # re-index F's waves onto N: x-slots via the embedding, time freq -> s-slot
-        kvecs = np.zeros((F.poly.n_terms, d + 2), dtype=np.int64)
-        kvecs[:, _embedding(n)] = F.poly.kvecs
-        kvecs[:, 2 * n + 1] = F.poly.tfreq
-        self.poly = TrigPoly(d + 2, F.poly.coeffs, kvecs,
-                             np.zeros(F.poly.n_terms), F.poly.is_sin)
+        kvecs = np.zeros((F.n_terms, d + 2), dtype=np.int64)
+        kvecs[:, _embedding(n)] = F.kvecs
+        kvecs[:, 2 * n + 1] = F.tfreq
+        self.poly = TrigPoly(d + 2, F.coeffs, kvecs, np.zeros(F.n_terms), F.is_sin)
         self._e_r = np.zeros(d + 2)
         self._e_r[n] = 1.0
 
@@ -186,7 +184,7 @@ class TimeOneOrbit:
         )
 
 
-def time_one_orbit(F: HamiltonianSpec, space: PhaseSpace, x0, n_units, h=1e-2) -> TimeOneOrbit:
+def time_one_orbit(F: TrigPoly, space: PhaseSpace, x0, n_units, h=1e-2) -> TimeOneOrbit:
     """Iterate the time-one map by integrating the non-autonomous flow of F."""
     m = _steps_per_unit(h)
     traj = integrate(hamiltonian_field(F, space), x0, float(n_units), h)
@@ -206,7 +204,7 @@ def loop_integral(alpha: ClosedOneForm, lifts_start, lifts_end):
     return out
 
 
-def rotation_pairing_time_one(mu: EmpiricalMeasure, F: HamiltonianSpec,
+def rotation_pairing_time_one(mu: EmpiricalMeasure, F: TrigPoly,
                               alpha: ClosedOneForm, h=1e-2, agreement_tol=1e-4):
     """<[alpha], rho(mu, phi)> for the time-one map phi of F, by both formulas.
 
@@ -259,7 +257,7 @@ def _simpson_weights(m, h):
     return w * h
 
 
-def map_orbit_search(F: HamiltonianSpec, alpha: ClosedOneForm, space: PhaseSpace,
+def map_orbit_search(F: TrigPoly, alpha: ClosedOneForm, space: PhaseSpace,
                      seeds, n0=100, n_max=10000, h=1e-2, tol=1e-4):
     """Maximize |<[alpha], rho(mu, phi)>| over seed orbits of the time-one map.
 
@@ -305,16 +303,16 @@ def cylinder_measure_from_suspension(traj: Trajectory, n_base: int) -> CylinderM
 
 
 def step7_correspondence_check(sigma: CylinderMeasure, mu: EmpiricalMeasure,
-                               F: HamiltonianSpec, observables, h=1e-2) -> float:
+                               F: TrigPoly, observables, h=1e-2) -> float:
     """Largest defect of sigma against the suspension of a base measure mu.
 
     For each test observable G on M x S^1 compares the sigma-integral of G
     with int_0^1 int G(phi_s x, s) dmu(x) ds, the latter by flowing every
     mu-sample through one period (rectangle rule in s, exact for band-limited
-    1-periodic integrands on a uniform grid).
+    1-periodic integrands on a uniform grid); the arcs are ``_unit_arcs``.
     """
-    m = _steps_per_unit(h)
-    nodes = integrate(hamiltonian_field(F, mu.space), mu.lifts, 1.0, h).lifts
+    nodes = _unit_arcs(mu, F, h)
+    m = len(nodes) - 1
     worst = 0.0
     for G in observables:
         lhs = sigma.integrate(G)

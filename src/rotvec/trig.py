@@ -18,6 +18,13 @@ unless some active axis of (x, t) carries |k| >= DENSE_MIN_K; then dense,
 by the lattice identity e^{i theta_j} = prod_a z_a^{k_ja}, z_a = e^{2 pi i x_a}:
 one cos/sin pair per axis and point, powers z_a^k by doubling products, terms
 on one wave merged into one complex amplitude, and one complex matmul.
+
+A TrigPoly is also the package's Hamiltonian: F(x) or the 1-periodic F(x, t)
+(``is_time_dependent``). Its ``metadata`` dict holds what is true of that one
+function, such as a pinned profile's pins and certified slope bound; every
+derived polynomial (sums, products, derivatives, scalar multiples and the
+``zero``/``constant``/``wave`` constructors) starts with it empty, because a
+certificate of F is no certificate of 2 F.
 """
 
 from __future__ import annotations
@@ -40,11 +47,13 @@ class TrigPoly:
         Per-term amplitude, integer wave vector (terms, dim), integer time
         frequency, and trig kind (0 = cos, 1 = sin). Terms are canonicalized
         (first nonzero of (k, m) made positive) and merged on construction.
+    metadata : dict, optional
+        Facts about this function, stored as a fresh dict (empty by default).
     """
 
-    __slots__ = ("dim", "coeffs", "kvecs", "tfreq", "is_sin", "_cache")
+    __slots__ = ("dim", "coeffs", "kvecs", "tfreq", "is_sin", "metadata", "_cache")
 
-    def __init__(self, dim, coeffs, kvecs, tfreq, is_sin):
+    def __init__(self, dim, coeffs, kvecs, tfreq, is_sin, metadata=None):
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
         kvecs = np.asarray(kvecs, dtype=np.int64).reshape(len(coeffs), dim)
         tfreq = np.atleast_1d(np.asarray(tfreq, dtype=np.int64))
@@ -55,6 +64,7 @@ class TrigPoly:
         )
         for arr in (self.coeffs, self.kvecs, self.tfreq, self.is_sin):
             arr.flags.writeable = False
+        self.metadata = dict(metadata or {})
         self._cache = None
 
     # -- constructors -------------------------------------------------------
@@ -99,8 +109,11 @@ class TrigPoly:
     def __sub__(self, other):
         return self + (-other if isinstance(other, TrigPoly) else -float(other))
 
-    def __mul__(self, scalar):
-        return TrigPoly(self.dim, self.coeffs * float(scalar), self.kvecs, self.tfreq, self.is_sin)
+    def __mul__(self, other):
+        """The pointwise ``product`` with a TrigPoly, else the scalar multiple."""
+        if isinstance(other, TrigPoly):
+            return self.product(other)
+        return TrigPoly(self.dim, self.coeffs * float(other), self.kvecs, self.tfreq, self.is_sin)
 
     __rmul__ = __mul__
 
@@ -169,6 +182,7 @@ class TrigPoly:
         return self._evaluators()[2](X, t)
 
     def dt(self, X, t=0.0):
+        """Exact d/dt at points X; identically zero unless ``is_time_dependent``."""
         return self._evaluators()[3](X, t)
 
     def gradient_map(self, matrix, const=None):

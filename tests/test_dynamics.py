@@ -5,7 +5,6 @@ from test_trig import PROPERTY, points, sin_sum, term_scale, trig_polys
 
 import rotvec as rv
 from rotvec.errors import BlowUp, StiffStep
-from rotvec.fields import HamiltonianSpec
 from rotvec.suspension import SuspendedHamiltonian, suspended_field
 from rotvec.trig import TrigPoly
 
@@ -145,16 +144,16 @@ def test_energy_drift_bounded_generic_field():
 def test_time_one_map_consistency_and_identity():
     sp = rv.torus(1)
     F = rv.fourier_hamiltonian(2, SIN2)
-    end, arc = rv.time_one_map(F, sp, [0.25, 0.0], 1e-2)
+    end = rv.time_one_orbit(F, sp, [0.25, 0.0], 1, 1e-2).trajectory.lifts[-1]
     direct = rv.integrate(rv.hamiltonian_field(F, sp), [0.25, 0.0], 1.0, 1e-2)
-    assert np.abs(end.lift - direct.lifts[-1]).max() < 1e-12
+    assert np.abs(end - direct.lifts[-1]).max() < 1e-12
 
     zero = rv.fourier_hamiltonian(2, [(0.0, [0, 0], 0, "cos")])
-    end, _ = rv.time_one_map(zero, sp, [0.4, 0.9], 1e-2)
-    assert np.allclose(end.lift, [0.4, 0.9], atol=1e-14)
+    end = rv.time_one_orbit(zero, sp, [0.4, 0.9], 1, 1e-2).trajectory.lifts[-1]
+    assert np.allclose(end, [0.4, 0.9], atol=1e-14)
 
     with pytest.raises(ValueError):
-        rv.time_one_map(F, sp, [0.0, 0.0], 0.3)  # 0.3 does not divide 1
+        rv.time_one_orbit(F, sp, [0.0, 0.0], 1, 0.3)  # 0.3 does not divide 1
 
 
 def test_time_one_map_momentum_frozen_for_q_free_family():
@@ -162,7 +161,7 @@ def test_time_one_map_momentum_frozen_for_q_free_family():
     eps = 0.2
     Ft = rv.fourier_hamiltonian(2, SIN2 + [(eps / 2, [1, 0], -1, "cos"),
                                            (-eps / 2, [1, 0], 1, "cos")])
-    end, arc = rv.time_one_map(Ft, sp, [0.0, 0.3], 1e-2)
+    arc = rv.time_one_orbit(Ft, sp, [0.0, 0.3], 1, 1e-2).trajectory
     assert np.abs(arc.lifts[:, 0]).max() < 1e-14  # dF/dq = 0 everywhere: pdot = 0
 
 
@@ -219,14 +218,14 @@ def test_field_velocities_match_sin_sum(kernel, data):
     inv = space.omega.inverse
     X, t = data.draw(points(space.dim))
 
-    F = HamiltonianSpec(data.draw(trig_polys(kernel, space.dim)))
+    F = data.draw(trig_polys(kernel, space.dim))
     field = rv.hamiltonian_field(F, space)
-    expected = sin_sum(F.poly, X, t, "grad") @ inv.T
-    assert_velocity(field.velocity(X, t), expected, F.poly, inv)
-    assert_velocity(rv.reversed_field(field).velocity(X, t), -expected, F.poly, inv)
-    if F.autonomous:
-        energy = sin_sum(F.poly, X, 0.0, "eval")
-        assert np.abs(field.conserved(X) - energy).max() <= 1e-12 * term_scale(F.poly, "eval")
+    expected = sin_sum(F, X, t, "grad") @ inv.T
+    assert_velocity(field.velocity(X, t), expected, F, inv)
+    assert_velocity(rv.reversed_field(field).velocity(X, t), -expected, F, inv)
+    if not F.is_time_dependent:
+        energy = sin_sum(F, X, 0.0, "eval")
+        assert np.abs(field.conserved(X) - energy).max() <= 1e-12 * term_scale(F, "eval")
 
     g = data.draw(trig_polys(kernel, space.dim, time=False))
     cls = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=space.dim,
@@ -251,7 +250,7 @@ def test_velocity_hooks(monkeypatch):
     sp = rv.torus(1)
     F = rv.fourier_hamiltonian(2, SIN2 + [(0.1, [1, 1], 0, "sin")])
     field = rv.hamiltonian_field(F, sp)
-    assert len(field.velocity.amps) == F.poly.n_terms
+    assert len(field.velocity.amps) == F.n_terms
     chord = rv.locally_hamiltonian_field(rv.one_form([0.0, 0.5]), sp)
     assert len(chord.velocity.amps) == 0
     X = np.random.default_rng(0).random((4, 2))
@@ -300,7 +299,7 @@ def test_batched_integrate_rows_match_single_runs(space, waves, momentum_only, m
             # one sweep more than alone, and the evaluator's sums may round
             # differently at another batch size
             assert np.abs(batch.lifts[:, b] - single.lifts).max() <= 1e-10
-        if F.autonomous:
+        if not F.is_time_dependent:
             assert np.abs(batch.energies[:, b] - single.energies).max() <= 1e-10
 
 

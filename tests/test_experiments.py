@@ -415,7 +415,8 @@ def test_cli_list(capsys):
     assert "[0.999, 1.05]" in out
 
 
-def test_cli_validate(tmp_path, capsys):
+def test_cli_validate(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a run without --out writes under the working directory
     cfg = tmp_path / "ok.json"
     cfg.write_text(json.dumps({"experiment": "chord"}))
     assert cli_main(["validate", str(cfg)]) == 0
@@ -423,12 +424,26 @@ def test_cli_validate(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "nope"}))
     assert cli_main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at /experiment: must be one of" in err
+    assert err.count("/experiment") == 1
 
     empty = tmp_path / "empty.json"
     empty.write_text("")
     assert cli_main(["validate", str(empty)]) == 2
+    assert capsys.readouterr().err.strip() == "config error at <root>: config file is empty"
 
     assert cli_main(["validate", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error at <root>: cannot read config file")
+
+    # an array is no config: both commands fail at the root, before any output directory
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([{"experiment": "chord"}]))
+    root_error = "config error at <root>: config must be a non-empty JSON object"
+    for command in (["validate", str(array)], ["run", str(array)]):
+        assert cli_main(command) == 2
+        assert capsys.readouterr().err.strip() == root_error
+    assert not (tmp_path / "rotvec-results").exists()
 
 
 def test_cli_run_roundtrip(tmp_path, capsys):
@@ -459,7 +474,8 @@ def test_cli_run_infeasible_pins_name_their_path(tmp_path, capsys):
     assert cli_main(["validate", str(cfg)]) == 0
     assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "config error at /optimizer/pins" in err
+    assert "config error at /optimizer/pins: the candidate fails" in err
+    assert err.count("/optimizer/pins") == 1
     assert "X_max = 0.165" in err and "Xp_min = 0.834" in err
 
 

@@ -268,7 +268,7 @@ def test_potential_in_profile_coordinate_drops_out(data):
     u = draw_coeffs(2 * data.draw(st.integers(1, 6)) + 1)
     g = draw_coeffs(2 * data.draw(st.integers(1, 4)) + 1)
     a = rv.CohomologyClass(draw_coeffs(sp.dim))
-    F = rv.HamiltonianSpec(wave_sum(sp.dim, coord, u))
+    F = wave_sum(sp.dim, coord, u)
     with_g = rv.bracket_poly(F, rv.ClosedOneForm(a, wave_sum(sp.dim, coord, g)), sp)
     without = rv.bracket_poly(F, rv.ClosedOneForm(a), sp)
     X = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).uniform(-1, 2, (32, sp.dim))
@@ -279,7 +279,7 @@ def nested_loop_bracket_poly(F, alpha, space):
     """Oracle: the bracket_poly that summed dim^2 Omega^{-1} entries per velocity component."""
     inv = space.omega.inverse
     out = TrigPoly.zero(F.dim)
-    grads = [F.poly.partial(j) for j in range(F.dim)]
+    grads = [F.partial(j) for j in range(F.dim)]
     for i in range(F.dim):
         v_i = TrigPoly.zero(F.dim)
         for j in range(F.dim):
@@ -312,7 +312,7 @@ def drawn_poly(data, dim, max_terms, time):
 @given(data=st.data())
 def test_bracket_poly_matches_nested_loop(data):
     sp = SPACES[data.draw(st.integers(0, len(SPACES) - 1))]
-    F = rv.HamiltonianSpec(drawn_poly(data, sp.dim, 6, time=True))
+    F = drawn_poly(data, sp.dim, 6, time=True)
     g = drawn_poly(data, sp.dim, 4, time=False) if data.draw(st.booleans()) else None
     a = rv.CohomologyClass(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=sp.dim,
                                               max_size=sp.dim)))
@@ -327,7 +327,7 @@ def test_bracket_poly_matches_nested_loop(data):
 def test_bracket_poly_bitwise_on_the_standard_form(data):
     # class (0, 0.5) on the standard T^2, what pb-upper and certify bracket with
     sp, alpha = rv.torus(1), rv.one_form([0.0, 0.5])
-    F = rv.HamiltonianSpec(drawn_poly(data, 2, 8, time=data.draw(st.booleans())))
+    F = drawn_poly(data, 2, 8, time=data.draw(st.booleans()))
     got, expected = bracket_poly(F, alpha, sp), nested_loop_bracket_poly(F, alpha, sp)
     for name in ("coeffs", "kvecs", "tfreq", "is_sin"):
         assert np.array_equal(getattr(got, name), getattr(expected, name))
