@@ -37,6 +37,6 @@ alpha = rv.one_form([0.0, 0.5])
 seeds = rv.full_seed_grid(space, 32)
 best, value, report = rv.extremal_orbit_search(F, alpha, space, seeds,
                                                T0=100.0, T_max=1e4, h=1e-2)
-print(f"\nbest |pairing| over {len(seeds)} seeds: {value:.6f} at p1 = {best.lift[0]}")
+print(f"\nbest |pairing| over {len(seeds)} seeds: {value:.6f} at p1 = {best[0]}")
 print(f"in the integer class [dq1]: {2 * value:.6f}  (>= 2 guaranteed, pi attained)")
 print(f"converged: {report.converged} after horizons {report.horizons}")

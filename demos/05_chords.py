@@ -17,7 +17,7 @@ Xp = rv.momentum_level_torus(space, [0.5])
 alpha = rv.one_form([0.0, 0.5])
 chord = rv.chord_search(alpha, space, X, Xp, t_max=2.0, h=1e-2)
 print(f"constant (1/2)[dq1] flow: t* = {chord.t_star:.12f}")
-print(f"start {chord.start.wrapped} -> end {chord.end.wrapped}")
+print(f"start {rv.wrap(chord.start, space)} -> end {rv.wrap(chord.end, space)}")
 
 ## doubling the class halves the travel time ---------------------------------
 chord2 = rv.chord_search(rv.one_form([0.0, 1.0]), space, X, Xp, t_max=2.0, h=1e-2)

@@ -35,12 +35,11 @@ alpha = rv.one_form([0.0, 1.0])
 seeds = rv.momentum_seed_grid(space, 32)
 best, value, report = rv.map_orbit_search(F, alpha, space, seeds,
                                           n0=100, n_max=10000, h=1e-2)
-print(f"\nlargest |<[dq1], rho(mu, phi)>| = {value:.6f} at p1 = {best.lift[0]} "
+print(f"\nlargest |<[dq1], rho(mu, phi)>| = {value:.6f} at p1 = {best[0]} "
       f"(>= 2 - 1e-2 guaranteed; the s-average of the wiggle cancels)")
 
 ## two formulas for the same pairing ------------------------------------------
-orbit = rv.time_one_orbit(F, space, best, n_units=int(report.horizons[-1]), h=1e-2)
-mu = orbit.measure()
+mu = rv.time_one_orbit(F, space, best, n_units=int(report.horizons[-1]), h=1e-2)
 loop, double = rv.rotation_pairing_time_one(mu, F, alpha)
 print(f"loop-integral route:    {loop:.12f}")
 print(f"double-integral route:  {double:.12f}")

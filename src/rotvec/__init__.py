@@ -12,8 +12,8 @@ from .errors import (BlowUp, ConfigError, DegenerateForm, DimensionError,
                      InternalInconsistency, InvalidPoint, QuadratureWarning,
                      RotvecError, StiffStep)
 from .trig import TrigPoly
-from .geometry import (DEFAULT_GAMMA, ClosedOneForm, CohomologyClass, PhasePoint,
-                       PhaseSpace, RegionSpec, RotationVector, SymplecticStructure,
+from .geometry import (DEFAULT_GAMMA, ClosedOneForm, CohomologyClass, PhaseSpace,
+                       RegionSpec, RotationVector, SymplecticStructure,
                        cotangent_of_torus, eval_form, flux_of_translation,
                        momentum_level_torus, one_form, pair, predicate_region,
                        product_of_levels, standard_structure, torus, twisted_structure,
@@ -30,8 +30,8 @@ from .measures import (ConvergenceReport, EmpiricalMeasure, average,
                        rotation_pairing, rotation_vector)
 from .pbracket import (Chord, PbProblem, PbResult, averaged_bracket, bracket, bracket_poly,
                        chord_search, pb_upper_bound, sup_norm)
-from .suspension import (CylinderMeasure, ExtendedPoint, SuspendedHamiltonian,
-                         TimeOneOrbit, cylinder_measure_from_suspension,
+from .suspension import (CylinderMeasure, SuspendedHamiltonian,
+                         cylinder_measure_from_suspension,
                          extend_space, extended_point, loop_integral,
                          map_orbit_search, rotation_pairing_time_one,
                          shift_equivariance_check, stab, step7_correspondence_check,

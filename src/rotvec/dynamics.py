@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BlowUp, DegenerateForm, DimensionError, StiffStep
-from .geometry import ClosedOneForm, PhaseSpace, wrap_batch
+from .geometry import ClosedOneForm, PhaseSpace, wrap
 from .trig import TrigPoly
 
 FP_TOL = 1e-12
@@ -55,7 +55,7 @@ class VectorFieldSpec:
 
     def residual(self, x, t=0.0):
         """max |Omega^T v - beta| at x: the defining-equation defect."""
-        x = np.asarray(getattr(x, "lift", x), dtype=float)
+        x = np.asarray(x, dtype=float)
         v = self.velocity(x[None, :], t)[0]
         omega = self.space.omega.matrix
         if self.kind == "hamiltonian":
@@ -88,7 +88,7 @@ def locally_hamiltonian_field(alpha: ClosedOneForm, space: PhaseSpace) -> Vector
 
 def sgrad_form(alpha: ClosedOneForm, space: PhaseSpace, x) -> np.ndarray:
     """The locally Hamiltonian field of alpha at a single point."""
-    x = np.asarray(getattr(x, "lift", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     v = -space.omega.inverse @ alpha.coefficients(x)
     if np.abs(space.omega.matrix.T @ v - alpha.coefficients(x)).max() > 1e-12:
         raise DegenerateForm("contraction residual exceeds 1e-12")
@@ -97,7 +97,7 @@ def sgrad_form(alpha: ClosedOneForm, space: PhaseSpace, x) -> np.ndarray:
 
 def sgrad(F: TrigPoly, space: PhaseSpace, x, s=0.0) -> np.ndarray:
     """The Hamiltonian vector field of F at a single point (minus-sign convention)."""
-    x = np.asarray(getattr(x, "lift", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     return space.omega.inverse @ F.grad(x, s)
 
 
@@ -125,7 +125,7 @@ class Trajectory:
         return float(self.times[-1] - self.times[0])
 
     def wrapped(self):
-        return wrap_batch(self.lifts, self.space)
+        return wrap(self.lifts, self.space)
 
     def energy_drift(self):
         """max_t |E(x_t) - E(x_0)| over the log (None if no conserved quantity)."""
@@ -232,7 +232,7 @@ def integrate(field: VectorFieldSpec, x0, T, h, method="midpoint") -> Trajectory
     """
     if T <= 0 or h <= 0:
         raise ValueError("require T > 0 and h > 0")
-    x0 = np.asarray(getattr(x0, "lift", x0), dtype=float)
+    x0 = np.asarray(x0, dtype=float)
     X0 = x0.reshape(-1, field.space.dim)
     n_full, remainder = _step_counts(T, h)
     times = np.empty(n_full + 1 + bool(remainder))

@@ -460,7 +460,7 @@ def _run_example1_bound(cfg, out):
             tolerance=th["best_value_tol"],
             passed=abs(full_pairing - th["best_value_target"]) <= th["best_value_tol"]),
         "converged": _result(report.converged, "measures.ConvergenceReport"),
-        "best_seed": _result(best_pt.lift.tolist(), "measures.extremal_orbit_search"),
+        "best_seed": _result(best_pt.tolist(), "measures.extremal_orbit_search"),
     }
     artifacts = []
     if out:
@@ -583,8 +583,8 @@ def _run_chord(cfg, out):
         "time_bound": _result(
             chord.t_star, "pbracket.chord_search",
             threshold=f"<= 1/floor + 1e-6 = {bound}", passed=chord.t_star <= bound),
-        "start": _result(chord.start.lift.tolist(), "pbracket.chord_search"),
-        "end": _result(chord.end.lift.tolist(), "pbracket.chord_search"),
+        "start": _result(chord.start.tolist(), "pbracket.chord_search"),
+        "end": _result(chord.end.tolist(), "pbracket.chord_search"),
     }
     artifacts = []
     if out:
@@ -606,12 +606,12 @@ def _run_nonauto(cfg, out):
     best_pt, best_val, report = map_orbit_search(
         F, alpha, space, _build_seeds(cfg, space), n0=iters["n0"], n_max=iters["n_max"],
         h=integ["h"], tol=integ["tol"])
-    orbit = time_one_orbit(F, space, best_pt, int(report.horizons[-1]), integ["h"])
-    loop_value, double_value = rotation_pairing_time_one(orbit.measure(), F, alpha, h=integ["h"])
+    mu = time_one_orbit(F, space, best_pt, int(report.horizons[-1]), integ["h"])
+    loop_value, double_value = rotation_pairing_time_one(mu, F, alpha, h=integ["h"])
     agreement = abs(loop_value - double_value)
 
     H = SuspendedHamiltonian(F, space)
-    z0 = extended_point(best_pt.lift, 0.0, 0.0, H.nspace)
+    z0 = extended_point(best_pt, 0.0, 0.0, H.nspace)
     straj = suspension_flow(H, z0, 1000.0, integ["h"])
     unit_idx = np.arange(0, len(straj), round(1.0 / integ["h"]))
     h_drift = float(np.max(np.abs(straj.energies[unit_idx] - straj.energies[0])))

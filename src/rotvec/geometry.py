@@ -111,41 +111,18 @@ def cotangent_of_torus(n, omega=None):
     return PhaseSpace("cotangent-of-torus", n, omega, mask)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A phase-space point carried with its lift to the covering space.
+def wrap(lifts, space):
+    """Reduce the periodic coordinates of one lift (dim,) or a batch (..., dim) mod 1.
 
-    ``lift`` is never re-wrapped: winding counts of long orbits are read off
-    directly from lift displacements. ``wrapped`` reduces the periodic
-    coordinates mod 1.
+    Returns a new array and leaves the lift as it is: winding counts of long
+    orbits are read off lift displacements. Raises InvalidPoint on non-finite
+    input, DimensionError when the last axis is not space.dim.
     """
-
-    lift: np.ndarray
-    wrapped: np.ndarray
-
-    def __post_init__(self):
-        self.lift.flags.writeable = False
-        self.wrapped.flags.writeable = False
-
-
-def wrap(lift, space):
-    """Build a PhasePoint from unwrapped coordinates.
-
-    Raises InvalidPoint on non-finite input, DimensionError on length mismatch.
-    """
-    lift = np.array(lift, dtype=float)
-    if lift.shape != (space.dim,):
-        raise DimensionError(f"point has {lift.shape} coordinates, space has {space.dim}")
-    if not np.all(np.isfinite(lift)):
-        raise InvalidPoint(f"non-finite coordinates: {lift}")
-    wrapped = lift.copy()
-    wrapped[space.periodic] = np.mod(wrapped[space.periodic], 1.0)
-    return PhasePoint(lift, wrapped)
-
-
-def wrap_batch(lifts, space):
-    """Reduce the periodic coordinates of a batch (N, dim) mod 1."""
     wrapped = np.array(lifts, dtype=float)
+    if wrapped.ndim == 0 or wrapped.shape[-1] != space.dim:
+        raise DimensionError(f"point has {wrapped.shape} coordinates, space has {space.dim}")
+    if not np.all(np.isfinite(wrapped)):
+        raise InvalidPoint(f"non-finite coordinates: {wrapped}")
     wrapped[..., space.periodic] = np.mod(wrapped[..., space.periodic], 1.0)
     return wrapped
 
@@ -223,12 +200,12 @@ def one_form(coeffs, potential=None):
     return ClosedOneForm(CohomologyClass(coeffs), potential)
 
 
-def eval_form(alpha: ClosedOneForm, v, x: PhasePoint) -> float:
-    """alpha_x(v) for a tangent vector v at the point x."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (alpha.dim,) or x.lift.shape != (alpha.dim,):
+def eval_form(alpha: ClosedOneForm, v, x) -> float:
+    """alpha_x(v) for a tangent vector v at the point x (a lift)."""
+    v, x = np.asarray(v, dtype=float), np.asarray(x, dtype=float)
+    if v.shape != (alpha.dim,) or x.shape != (alpha.dim,):
         raise DimensionError("form, vector and point dimensions do not match")
-    return float(alpha.coefficients(x.lift) @ v)
+    return float(alpha.coefficients(x) @ v)
 
 
 def flux_of_translation(w, space: PhaseSpace) -> CohomologyClass:

@@ -22,8 +22,7 @@ import numpy as np
 from .dynamics import (Trajectory, VectorFieldSpec, _trapezoid_weights, birkhoff_stream,
                        hamiltonian_field, integrate)
 from .errors import DimensionError, EmptyTrajectory
-from .geometry import (ClosedOneForm, PhaseSpace, RotationVector, wrap,
-                       wrap_batch)
+from .geometry import ClosedOneForm, PhaseSpace, RotationVector, wrap
 from .trig import TrigPoly, lattice_indices
 
 
@@ -52,7 +51,7 @@ class EmpiricalMeasure:
         return len(self.weights)
 
     def wrapped(self):
-        return wrap_batch(self.lifts, self.space)
+        return wrap(self.lifts, self.space)
 
 
 def empirical_measure(traj: Trajectory) -> EmpiricalMeasure:
@@ -212,7 +211,7 @@ def extremal_orbit_search(F, alpha, space, seeds, T0=100.0, T_max=1e5, h=1e-2,
     the argmax go to the lowest seed index, so the reduction is deterministic
     regardless of batching.
 
-    Returns (best seed as a PhasePoint, best |pairing|, ConvergenceReport).
+    Returns (best seed lift, best |pairing|, ConvergenceReport).
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, space.dim)
     if len(seeds) == 0:
@@ -222,7 +221,7 @@ def extremal_orbit_search(F, alpha, space, seeds, T0=100.0, T_max=1e5, h=1e-2,
 
     stream = birkhoff_stream(field, seeds, horizons, h, [pairing_integrand(alpha)])
     report = ConvergenceReport.from_search(((T, np.abs(avg[0])) for T, avg, _ in stream), tol)
-    return wrap(seeds[report.best_seed_index], space), report.best_values[-1], report
+    return seeds[report.best_seed_index].copy(), report.best_values[-1], report
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from .dynamics import (_nodes, birkhoff_stream, hamiltonian_field, locally_hamil
                        midpoint_step)
 from .errors import InfeasibleFamily, InternalInconsistency
 from .fields import LP_KEYS
-from .geometry import (ClosedOneForm, CohomologyClass, PhasePoint, PhaseSpace,
-                       RegionSpec, circular_residual, wrap)
+from .geometry import (ClosedOneForm, CohomologyClass, PhaseSpace, RegionSpec,
+                       circular_residual)
 from .measures import pairing_integrand
 from .trig import TrigPoly
 
@@ -65,7 +65,7 @@ def bracket(F: TrigPoly, alpha: ClosedOneForm, space: PhaseSpace, x, s=0.0) -> f
     alpha(sgrad F) disagrees beyond 1e-10 (they are identical in exact
     arithmetic, so a disagreement means a sign bug, not roundoff).
     """
-    x = np.asarray(getattr(x, "lift", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     dF = F.grad(x, s)
     a_x = alpha.coefficients(x)
     v_alpha = -space.omega.inverse @ a_x
@@ -112,7 +112,7 @@ def averaged_bracket(F, alpha, space, x, T, h) -> float:
     so no flow Jacobians are integrated: it is the trapezoid Birkhoff average
     of the bracket along the orbit of x.
     """
-    x = np.asarray(getattr(x, "lift", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     field = hamiltonian_field(F, space)
     for _, avg, _ in birkhoff_stream(field, x[None, :], [T], h, [pairing_integrand(alpha)]):
         pass
@@ -201,10 +201,10 @@ def pb_upper_bound(problem: PbProblem, F: TrigPoly, cert_grid_res=4096) -> PbRes
 
 @dataclass(frozen=True)
 class Chord:
-    """A flow segment of sgrad alpha from X to X' with its travel time."""
+    """A flow segment of sgrad alpha from X to X' (lifts) with its travel time."""
 
-    start: PhasePoint
-    end: PhasePoint
+    start: np.ndarray
+    end: np.ndarray
     t_star: float
 
 
@@ -244,8 +244,7 @@ def chord_search(alpha: ClosedOneForm, space: PhaseSpace, X: RegionSpec,
         if landed.any():
             tied = np.flatnonzero(landed & (t_cross <= t_cross[landed].min() + 1e-15))
             k = tied[np.lexsort((t_hit[tied], rows[tied]))[0]]  # lowest seed, then earliest
-            return Chord(start=wrap(X.grid[rows[k]], space), end=wrap(Y[k], space),
-                         t_star=float(t_cross[k]))
+            return Chord(start=X.grid[rows[k]].copy(), end=Y[k], t_star=float(t_cross[k]))
     return None
 
 

@@ -23,8 +23,7 @@ import numpy as np
 from .dynamics import (Trajectory, VectorFieldSpec, _steps_per_unit, _trapezoid_weights,
                        birkhoff_stream, hamiltonian_field, integrate)
 from .errors import QuadratureWarning
-from .geometry import (ClosedOneForm, PhasePoint, PhaseSpace, RegionSpec,
-                       SymplecticStructure, wrap)
+from .geometry import ClosedOneForm, PhaseSpace, RegionSpec, SymplecticStructure
 from .measures import (ConvergenceReport, EmpiricalMeasure, doubling_horizons,
                        measure_from_iterates)
 from .trig import TrigPoly
@@ -52,34 +51,14 @@ def _embedding(n):
     return np.array([i for i in range(n)] + [n + 1 + i for i in range(n)])
 
 
-@dataclass(frozen=True)
-class ExtendedPoint:
-    """A point of N, split into its base part and the (r, s) pair."""
-
-    point: PhasePoint
-    n: int
-
-    @property
-    def base(self) -> np.ndarray:
-        return self.point.lift[_embedding(self.n)]
-
-    @property
-    def r(self) -> float:
-        return float(self.point.lift[self.n])
-
-    @property
-    def s(self) -> float:
-        return float(self.point.lift[2 * self.n + 1])
-
-
-def extended_point(base_lift, r, s, nspace: PhaseSpace) -> PhasePoint:
-    """Assemble the N-lift from base coordinates, r and s."""
+def extended_point(base_lift, r, s, nspace: PhaseSpace) -> np.ndarray:
+    """Assemble the N-lift (p.., r, q.., s) from base coordinates, r and s."""
     n = nspace.n - 1
     z = np.empty(nspace.dim)
     z[_embedding(n)] = np.asarray(base_lift, dtype=float)
     z[n] = r
     z[2 * n + 1] = s
-    return wrap(z, nspace)
+    return z
 
 
 class SuspendedHamiltonian:
@@ -102,12 +81,13 @@ class SuspendedHamiltonian:
     def dim(self):
         return self.nspace.dim
 
-    def eval(self, z, s=0.0):
-        Z = np.asarray(getattr(z, "lift", z), dtype=float)
+    def eval(self, z):
+        """H at the N-lift(s) z; the time is z's s slot."""
+        Z = np.asarray(z, dtype=float)
         return self.poly.eval(Z) + Z[..., self.base_space.n]
 
-    def grad(self, z, s=0.0):
-        Z = np.asarray(getattr(z, "lift", z), dtype=float)
+    def grad(self, z):
+        Z = np.asarray(z, dtype=float)
         return self.poly.grad(Z) + self._e_r
 
 
@@ -145,7 +125,7 @@ def stab(X: RegionSpec, nspace: PhaseSpace) -> RegionSpec:
 
 def shift_equivariance_check(H: SuspendedHamiltonian, z0, c, T, h) -> float:
     """Distance between h_T(S_c z0) and S_c(h_T z0) for the r-shift S_c."""
-    z0 = np.asarray(getattr(z0, "lift", z0), dtype=float)
+    z0 = np.asarray(z0, dtype=float)
     shift = np.zeros_like(z0)
     shift[H.base_space.n] = c
     end_a, end_b = integrate(suspended_field(H), np.stack([z0 + shift, z0]), T, h).lifts[-1]
@@ -156,39 +136,21 @@ def shift_equivariance_check(H: SuspendedHamiltonian, z0, c, T, h) -> float:
 # time-one map averages
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TimeOneOrbit:
-    """A map orbit {phi^k x}, k = 0..n_units, with its fine trajectory.
+def time_one_orbit(F: TrigPoly, space: PhaseSpace, x0, n_units, h=1e-2) -> EmpiricalMeasure:
+    """The uniform Birkhoff measure over the time-one map iterates phi^k x0, k < n_units.
 
-    The fine trajectory resolves every unit arc gamma_{phi^k x} at step h
-    (h = 1/m), so loop integrals and (x, t) double integrals both come from
-    the same stored data.
+    The non-autonomous flow of F is integrated at step h = 1/m and kept as the
+    measure's ``source``: it resolves every unit arc gamma_{phi^k x0}, so loop
+    integrals and (x, t) double integrals both come from the same stored data.
     """
-
-    trajectory: Trajectory
-    n_units: int
-    steps_per_unit: int
-
-    @property
-    def iterate_lifts(self):
-        return self.trajectory.lifts[::self.steps_per_unit]
-
-    def measure(self) -> EmpiricalMeasure:
-        """Uniform Birkhoff measure over the iterates phi^k x, k < n_units."""
-        return measure_from_iterates(
-            self.trajectory.space, self.iterate_lifts[:-1],
-            provenance={"x0": self.trajectory.lifts[0].tolist(),
-                        "n_units": self.n_units, "h": self.trajectory.h,
-                        "kind": "time-one-orbit"},
-            source=self.trajectory,
-        )
-
-
-def time_one_orbit(F: TrigPoly, space: PhaseSpace, x0, n_units, h=1e-2) -> TimeOneOrbit:
-    """Iterate the time-one map by integrating the non-autonomous flow of F."""
     m = _steps_per_unit(h)
     traj = integrate(hamiltonian_field(F, space), x0, float(n_units), h)
-    return TimeOneOrbit(traj, n_units, m)
+    return measure_from_iterates(
+        space, traj.lifts[::m][:-1],
+        provenance={"x0": traj.lifts[0].tolist(), "n_units": n_units, "h": traj.h,
+                    "kind": "time-one-orbit"},
+        source=traj,
+    )
 
 
 def loop_integral(alpha: ClosedOneForm, lifts_start, lifts_end):
@@ -266,7 +228,7 @@ def map_orbit_search(F: TrigPoly, alpha: ClosedOneForm, space: PhaseSpace,
     plus the telescoped exact part. N doubles from n0 with the same
     convergence diagnostic as the flow case.
 
-    Returns (best seed PhasePoint, best value, ConvergenceReport).
+    Returns (best seed lift, best value, ConvergenceReport).
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, space.dim)
     _steps_per_unit(h)
@@ -276,7 +238,7 @@ def map_orbit_search(F: TrigPoly, alpha: ClosedOneForm, space: PhaseSpace,
     stream = birkhoff_stream(field, seeds, horizons, h, [])
     report = ConvergenceReport.from_search(
         ((T, np.abs(loop_integral(alpha, seeds, states) / T)) for T, _, states in stream), tol)
-    return wrap(seeds[report.best_seed_index], space), report.best_values[-1], report
+    return seeds[report.best_seed_index].copy(), report.best_values[-1], report
 
 
 # ---------------------------------------------------------------------------

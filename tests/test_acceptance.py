@@ -129,8 +129,7 @@ def test_criterion_6_nonautonomous_suspension():
     seeds = rv.momentum_seed_grid(sp, 32)
     best, val, report = rv.map_orbit_search(F, alpha, sp, seeds,
                                             n0=100, n_max=10000, h=1e-2)
-    orbit = rv.time_one_orbit(F, sp, best, int(report.horizons[-1]), 1e-2)
-    mu = orbit.measure()
+    mu = rv.time_one_orbit(F, sp, best, int(report.horizons[-1]), 1e-2)
     loop, double = rv.rotation_pairing_time_one(mu, F, alpha)
     agreement = abs(loop - double)
     elapsed = time.perf_counter() - start
@@ -185,7 +184,7 @@ def test_criterion_7_property_suites():
     f_vals = [F.eval(f_grid, s) for s in np.linspace(0, 1, 64, endpoint=False)]
     f_range = float(np.max(f_vals) - np.min(f_vals))
     # the three orbits p1 = 0.1, 0.25, 0.37 as one batch, checked row by row
-    Z0 = np.stack([rv.extended_point([p1, 0.0], 0.0, 0.0, H.nspace).lift
+    Z0 = np.stack([rv.extended_point([p1, 0.0], 0.0, 0.0, H.nspace)
                    for p1 in (0.1, 0.25, 0.37)])
     straj = rv.suspension_flow(H, Z0, 1000.0, 1e-2)
     r_max = np.abs(straj.lifts[:, :, 1]).max(axis=0)

@@ -144,12 +144,12 @@ def test_energy_drift_bounded_generic_field():
 def test_time_one_map_consistency_and_identity():
     sp = rv.torus(1)
     F = rv.fourier_hamiltonian(2, SIN2)
-    end = rv.time_one_orbit(F, sp, [0.25, 0.0], 1, 1e-2).trajectory.lifts[-1]
+    end = rv.time_one_orbit(F, sp, [0.25, 0.0], 1, 1e-2).source.lifts[-1]
     direct = rv.integrate(rv.hamiltonian_field(F, sp), [0.25, 0.0], 1.0, 1e-2)
     assert np.abs(end - direct.lifts[-1]).max() < 1e-12
 
     zero = rv.fourier_hamiltonian(2, [(0.0, [0, 0], 0, "cos")])
-    end = rv.time_one_orbit(zero, sp, [0.4, 0.9], 1, 1e-2).trajectory.lifts[-1]
+    end = rv.time_one_orbit(zero, sp, [0.4, 0.9], 1, 1e-2).source.lifts[-1]
     assert np.allclose(end, [0.4, 0.9], atol=1e-14)
 
     with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ def test_time_one_map_momentum_frozen_for_q_free_family():
     eps = 0.2
     Ft = rv.fourier_hamiltonian(2, SIN2 + [(eps / 2, [1, 0], -1, "cos"),
                                            (-eps / 2, [1, 0], 1, "cos")])
-    arc = rv.time_one_orbit(Ft, sp, [0.0, 0.3], 1, 1e-2).trajectory
+    arc = rv.time_one_orbit(Ft, sp, [0.0, 0.3], 1, 1e-2).source
     assert np.abs(arc.lifts[:, 0]).max() < 1e-14  # dF/dq = 0 everywhere: pdot = 0
 
 

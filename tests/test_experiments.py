@@ -10,7 +10,7 @@ from rotvec import fields
 from rotvec.cli import main as cli_main
 from rotvec.errors import ConfigError, QuadratureWarning, RotvecError
 from rotvec.fields import LP_KEYS, SLOPE_GRID
-from rotvec.pbracket import CONSTRAINT_TOL
+from rotvec.pbracket import CONSTRAINT_TOL, LANDING_TOL
 
 
 FAST_BOUND = {
@@ -397,6 +397,14 @@ def test_run_chord_experiment(tmp_path):
     assert (tmp_path / "chord.dat").exists()
     arc = np.loadtxt(tmp_path / "chord.dat")
     assert arc.shape[1] == 3  # t, p1, q1
+    # start and end are lifts, written as plain lists: start on X, end on X'
+    sp = rv.torus(1)
+    start, end = report.results["start"]["value"], report.results["end"]["value"]
+    for point in (start, end):
+        assert isinstance(point, list) and len(point) == 2
+        assert all(isinstance(c, float) for c in point)
+    assert rv.momentum_level_torus(sp, [0.0]).contains(np.array([start]))[0]
+    assert rv.momentum_level_torus(sp, [0.5]).defect(np.array([end]))[0] <= LANDING_TOL
 
 
 def test_run_fails_threshold_exit_code(tmp_path):

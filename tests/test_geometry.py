@@ -8,22 +8,31 @@ from rotvec.trig import TrigPoly
 
 def test_wrap_examples():
     sp = rv.torus(1)
-    pt = rv.wrap([1.25, -0.5], sp)
-    assert np.allclose(pt.wrapped, [0.25, 0.5])
-    assert np.allclose(pt.lift, [1.25, -0.5])  # lift preserved verbatim
+    lift = np.array([1.25, -0.5])
+    assert np.allclose(rv.wrap(lift, sp), [0.25, 0.5])
+    assert np.array_equal(lift, [1.25, -0.5])  # lift preserved verbatim
 
-    pt = rv.wrap([0.0, 0.0], sp)
-    assert np.allclose(pt.wrapped, [0.0, 0.0])
+    assert np.allclose(rv.wrap([0.0, 0.0], sp), [0.0, 0.0])
+    assert np.allclose(rv.wrap([3.0, 2.0], sp), [0.0, 0.0])
 
-    pt = rv.wrap([3.0, 2.0], sp)
-    assert np.allclose(pt.wrapped, [0.0, 0.0])
-    assert np.allclose(pt.lift, [3.0, 2.0])
+    # an (n, B, dim) batch wraps row by row and leaves its input alone
+    batch = np.array([[[1.25, -0.5], [0.0, 0.0]], [[3.0, 2.0], [-0.75, 7.5]]])
+    before = batch.copy()
+    wrapped = rv.wrap(batch, sp)
+    assert np.array_equal(wrapped, [[rv.wrap(row, sp) for row in rows] for rows in batch])
+    assert np.array_equal(batch, before)
 
 
 def test_wrap_cotangent_leaves_momenta():
     sp = rv.cotangent_of_torus(1)
-    pt = rv.wrap([3.7, 1.25], sp)
-    assert np.allclose(pt.wrapped, [3.7, 0.25])
+    assert np.allclose(rv.wrap([3.7, 1.25], sp), [3.7, 0.25])
+
+    batch = np.array([[[3.7, 1.25], [-2.5, -0.25]], [[0.0, 4.0], [9.0, 0.5]]])
+    before = batch.copy()
+    wrapped = rv.wrap(batch, sp)
+    assert np.array_equal(wrapped[..., 0], batch[..., 0])
+    assert np.array_equal(wrapped, [[rv.wrap(row, sp) for row in rows] for rows in batch])
+    assert np.array_equal(batch, before)
 
 
 def test_wrap_rejects_bad_input():
@@ -32,6 +41,12 @@ def test_wrap_rejects_bad_input():
         rv.wrap([np.nan, 0.0], sp)
     with pytest.raises(DimensionError):
         rv.wrap([0.0, 0.0, 0.0], sp)
+    batch = np.zeros((3, 2, 2))
+    batch[2, 1, 0] = np.nan
+    with pytest.raises(InvalidPoint):
+        rv.wrap(batch, sp)
+    with pytest.raises(DimensionError):
+        rv.wrap(np.zeros((3, 2, 3)), sp)
 
 
 def test_structure_validation():

@@ -162,9 +162,12 @@ def test_extremal_orbit_search_example1():
         sin2(), rv.one_form([0.0, 0.5]), sp, seeds, T0=100.0, T_max=1e4, h=1e-2)
     assert val >= 1.0                   # the guaranteed level for this pair
     assert abs(val - np.pi / 2) < 1e-6  # attained on the p1 = 1/4 circle
-    assert best.lift[0] == pytest.approx(0.25)
+    assert best[0] == pytest.approx(0.25)
     assert report.converged
     assert report.horizons[0] == 100.0
+    before = seeds.copy()
+    best[:] = 7.0  # the best seed is a copy of its grid row
+    assert np.array_equal(seeds, before)
 
 
 def test_extremal_orbit_search_constant_F():

@@ -392,8 +392,11 @@ def test_chord_search_examples():
     Xp = rv.momentum_level_torus(sp, [0.5])
     chord = rv.chord_search(rv.one_form([0.0, 0.5]), sp, X, Xp, t_max=2.0, h=1e-2)
     assert abs(chord.t_star - 1.0) < 1e-9
-    assert Xp.defect(chord.end.lift[None, :])[0] < 1e-6
-    assert X.contains(chord.start.lift[None, :])[0]
+    assert Xp.defect(chord.end[None, :])[0] < 1e-6
+    assert X.contains(chord.start[None, :])[0]
+    grid = X.grid.copy()
+    chord.start[:] = 7.0  # the start is a copy of its grid row
+    assert np.array_equal(X.grid, grid)
 
     # doubled class: doubled speed
     chord2 = rv.chord_search(rv.one_form([0.0, 1.0]), sp, X, Xp, t_max=2.0, h=1e-2)
@@ -413,7 +416,7 @@ def test_chord_with_potential_perturbation():
     alpha = rv.ClosedOneForm(rv.CohomologyClass([0.0, 0.5]), g)
     chord = rv.chord_search(alpha, sp, X, Xp, t_max=4.0, h=1e-2)
     assert chord is not None
-    assert Xp.defect(chord.end.lift[None, :])[0] < 1e-6
+    assert Xp.defect(chord.end[None, :])[0] < 1e-6
 
 
 def test_cotangent_bundle_variant():
@@ -443,12 +446,11 @@ def test_time_one_pairing_quadrature_warning():
     from rotvec.errors import QuadratureWarning
     sp = rv.torus(1)
     F = rv.fourier_hamiltonian(2, SIN2)
-    orbit = rv.time_one_orbit(F, sp, [0.2, 0.0], 10, 1e-2)
+    mu = rv.time_one_orbit(F, sp, [0.2, 0.0], 10, 1e-2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureWarning):
-            rv.rotation_pairing_time_one(orbit.measure(), F, rv.one_form([0.0, 1.0]),
-                                         agreement_tol=0.0)
+            rv.rotation_pairing_time_one(mu, F, rv.one_form([0.0, 1.0]), agreement_tol=0.0)
 
 
 def test_chord_time_bounded_by_floor():
@@ -580,9 +582,9 @@ def test_chord_search_matches_per_seed_oracle(name):
     start, t_star, end = oracle
     if name.startswith("two-coordinate"):
         assert abs(t_star - 3.0) <= 1e-9
-    assert np.array_equal(chord.start.lift, start)  # same seed, same tie rule
+    assert np.array_equal(chord.start, start)  # same seed, same tie rule
     # constant-velocity forms bisect identical states, so only the node time
     # differs: k*h here, a running sum of k steps h (k half-ulps) in the oracle
     tol = 1e-10 if name == "potential" else t_star / h * np.spacing(t_star)
     assert abs(chord.t_star - t_star) <= tol
-    assert np.abs(chord.end.lift - end).max() <= 1e-9
+    assert np.abs(chord.end - end).max() <= 1e-9

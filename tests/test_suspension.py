@@ -33,10 +33,10 @@ def test_suspended_hamiltonian_value():
     z = rv.extended_point([0.25, 0.7], 0.3, 0.125, H.nspace)
     F = nonauto()
     assert H.eval(z) == pytest.approx(F.eval([0.25, 0.7], 0.125) + 0.3, abs=1e-14)
-    ep = rv.ExtendedPoint(z, 1)
-    assert ep.r == pytest.approx(0.3)
-    assert ep.s == pytest.approx(0.125)
-    assert np.allclose(ep.base, [0.25, 0.7])
+    # the lift is ordered (p1, r, q1, s)
+    assert z[1] == pytest.approx(0.3)
+    assert z[3] == pytest.approx(0.125)
+    assert np.allclose(z[[0, 2]], [0.25, 0.7])
 
 
 def test_stab_examples():
@@ -46,8 +46,8 @@ def test_stab_examples():
     S = rv.stab(X, H.nspace)
     inside = rv.extended_point([0.0, 0.4], 0.0, 0.62, H.nspace)
     off_r = rv.extended_point([0.0, 0.4], 0.1, 0.62, H.nspace)
-    assert S.contains(inside.lift[None, :])[0]
-    assert not S.contains(off_r.lift[None, :])[0]
+    assert S.contains(inside[None, :])[0]
+    assert not S.contains(off_r[None, :])[0]
     assert np.all(S.contains(S.grid))
 
 
@@ -121,13 +121,27 @@ def test_loop_integral_windings():
     assert rv.loop_integral(alpha, start, end)[0] == pytest.approx(2.5)
 
 
+def test_time_one_orbit_is_the_uniform_iterate_measure():
+    F = nonauto()
+    sp = rv.torus(1)
+    n_units, h = 7, 1e-2
+    mu = rv.time_one_orbit(F, sp, [0.25, 0.1], n_units, h)
+    traj = mu.source
+    assert traj.h == h
+    assert traj.T == pytest.approx(n_units)
+    assert np.array_equal(mu.lifts, traj.lifts[::round(1 / h)][:-1])
+    assert np.array_equal(mu.weights, np.full(n_units, 1.0 / n_units))
+    assert mu.provenance == {"x0": [0.25, 0.1], "n_units": n_units, "h": h,
+                             "kind": "time-one-orbit"}
+
+
 def test_rotation_pairing_time_one_autonomous_consistency():
     # for autonomous F the map pairing equals the flow pairing
     F = rv.fourier_hamiltonian(2, SIN2)
     sp = rv.torus(1)
     alpha = rv.one_form([0.0, 1.0])
-    orbit = rv.time_one_orbit(F, sp, [0.2, 0.0], 50, 1e-2)
-    v_map, _ = rv.rotation_pairing_time_one(orbit.measure(), F, alpha)
+    mu = rv.time_one_orbit(F, sp, [0.2, 0.0], 50, 1e-2)
+    v_map, _ = rv.rotation_pairing_time_one(mu, F, alpha)
     traj = rv.integrate(rv.hamiltonian_field(F, sp), [0.2, 0.0], 50.0, 1e-2)
     v_flow = rv.rotation_pairing(rv.empirical_measure(traj), F, alpha)
     assert abs(v_map - v_flow) < 1e-6
@@ -136,8 +150,8 @@ def test_rotation_pairing_time_one_autonomous_consistency():
 def test_rotation_pairing_time_one_zero_map():
     zero = rv.fourier_hamiltonian(2, [(0.0, [0, 0], 0, "cos")])
     sp = rv.torus(1)
-    orbit = rv.time_one_orbit(zero, sp, [0.3, 0.6], 10, 1e-2)
-    val, _ = rv.rotation_pairing_time_one(orbit.measure(), zero, rv.one_form([0.0, 1.0]))
+    mu = rv.time_one_orbit(zero, sp, [0.3, 0.6], 10, 1e-2)
+    val, _ = rv.rotation_pairing_time_one(mu, zero, rv.one_form([0.0, 1.0]))
     assert val == pytest.approx(0.0, abs=1e-14)
 
 
@@ -146,8 +160,7 @@ def test_rotation_pairing_time_one_without_source_orbit():
     F = nonauto()
     sp = rv.torus(1)
     alpha = rv.one_form([0.0, 1.0])
-    orbit = rv.time_one_orbit(F, sp, [0.25, 0.0], 20, 1e-2)
-    mu_with = orbit.measure()
+    mu_with = rv.time_one_orbit(F, sp, [0.25, 0.0], 20, 1e-2)
     from rotvec.measures import measure_from_iterates
     mu_bare = measure_from_iterates(sp, mu_with.lifts)
     v1, _ = rv.rotation_pairing_time_one(mu_with, F, alpha)
@@ -164,16 +177,18 @@ def test_map_orbit_search_nonautonomous():
     # the s-average of the time-dependent term vanishes: the map rotates each
     # circle by u'(p1), maximized at p1 = 1/4
     assert val == pytest.approx(np.pi, abs=1e-9)
-    assert best.lift[0] == pytest.approx(0.25)
+    assert best[0] == pytest.approx(0.25)
     assert report.converged
+    before = seeds.copy()
+    best[:] = 7.0  # the best seed is a copy of its grid row
+    assert np.array_equal(seeds, before)
 
 
 def test_formulas_agree_on_nonautonomous_orbit():
     F = nonauto()
     sp = rv.torus(1)
     alpha = rv.one_form([0.0, 1.0])
-    orbit = rv.time_one_orbit(F, sp, [0.25, 0.0], 100, 1e-2)
-    mu = orbit.measure()
+    mu = rv.time_one_orbit(F, sp, [0.25, 0.0], 100, 1e-2)
     loop, double = rv.rotation_pairing_time_one(mu, F, alpha)
     assert abs(loop - double) < 1e-6
 
@@ -267,9 +282,9 @@ def test_rotation_pairing_time_one_rejects_steps_that_do_not_tile_the_period():
     # h = 0.3 would stop the unit arc at t = 0.9
     F = nonauto()
     sp = rv.torus(1)
-    orbit = rv.time_one_orbit(F, sp, [0.25, 0.0], 5, 1e-2)
+    mu = rv.time_one_orbit(F, sp, [0.25, 0.0], 5, 1e-2)
     with pytest.raises(ValueError, match="does not divide"):
-        rv.rotation_pairing_time_one(orbit.measure(), F, rv.one_form([0.0, 1.0]), h=0.3)
+        rv.rotation_pairing_time_one(mu, F, rv.one_form([0.0, 1.0]), h=0.3)
 
 
 def test_step7_rejects_steps_that_do_not_tile_the_period():
