@@ -15,11 +15,10 @@ from .trig import TrigPoly
 from .geometry import (DEFAULT_GAMMA, ClosedOneForm, CohomologyClass, PhaseSpace,
                        RegionSpec, RotationVector, SymplecticStructure,
                        cotangent_of_torus, eval_form, flux_of_translation,
-                       momentum_level_torus, one_form, pair, predicate_region,
-                       product_of_levels, standard_structure, torus, twisted_structure,
-                       wrap)
+                       momentum_level_torus, one_form, pair, product_of_levels,
+                       standard_structure, torus, twisted_structure, wrap)
 from .fields import (fourier_hamiltonian, make_pinned_profile, parse_family,
-                     profile_hamiltonian, profile_slope_certificate)
+                     profile_hamiltonian)
 from .dynamics import (Trajectory, VectorFieldSpec, hamiltonian_field, integrate,
                        locally_hamiltonian_field, reversed_field, sgrad,
                        sgrad_form)

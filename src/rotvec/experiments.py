@@ -34,6 +34,7 @@ from .pbracket import CONSTRAINT_TOL, PbProblem, chord_search, pb_upper_bound
 from .suspension import (SuspendedHamiltonian, extended_point, map_orbit_search,
                          rotation_pairing_time_one, shift_equivariance_check,
                          suspension_flow, time_one_orbit)
+from .trig import MAX_GRID_POINTS, MIN_GRID_RES
 
 
 @dataclass(frozen=True)
@@ -275,8 +276,9 @@ def _check_optimizer(cfg, record):
     that level (mod 1) fixes F on all of the region, to within the LP's 1e-10."""
     opt = cfg["optimizer"]
     _require(_is_int(opt.get("n_modes"), 1), "/optimizer/n_modes", "must be a positive integer")
-    _require(_is_int(opt.get("cert_grid_res"), 16) and opt["cert_grid_res"] <= 2 ** 26,
-             "/optimizer/cert_grid_res", "must be an integer in [16, 2**26]")
+    _require(_is_int(opt.get("cert_grid_res"), MIN_GRID_RES)
+             and opt["cert_grid_res"] <= MAX_GRID_POINTS,
+             "/optimizer/cert_grid_res", f"must be an integer in [{MIN_GRID_RES}, {MAX_GRID_POINTS}]")
     _check_pins(opt.get("pins"), "/optimizer/pins", opt["n_modes"])
     slack = CONSTRAINT_TOL + 1e-10
     for name, need, ok in (("X", "<= 0", lambda v: v <= slack),
@@ -617,10 +619,12 @@ def _run_nonauto(cfg, out):
     h_drift = float(np.max(np.abs(straj.energies[unit_idx] - straj.energies[0])))
     r_max = float(np.max(np.abs(straj.lifts[:, space.n])))
     n_axes = max(1, len(F.active_dims()) + F.is_time_dependent)
-    grid_res = min(512, int(2 ** (18 / n_axes)))  # <= 2**18 points
+    # <= 2**18 points up to 4 axes; more axes take the fewest points a certificate allows
+    grid_res = max(MIN_GRID_RES, min(512, int(2 ** (18 / n_axes))))
     # max F - min F bounds |r| on orbits from r = 0; the grid range falls short
     # of it by at most twice the Lipschitz pad, so the sum is an upper bound
-    f_range = float(np.ptp(F.grid_values(grid_res))) + F.grad_l1_bound() / grid_res
+    lo, hi, pad = F.certified_bounds(grid_res)
+    f_range = (hi - lo) + 2 * pad
     equiv = shift_equivariance_check(H, z0, 1.0, 10.0, integ["h"])
 
     results = {

@@ -71,18 +71,6 @@ def _profile_poly(theta, n_modes):
     return TrigPoly(1, theta, k[:, None], np.zeros(len(k)), is_sin)
 
 
-def profile_slope_certificate(u_poly: TrigPoly, grid_res=SLOPE_GRID):
-    """Certified bound on max|u'| for a 1-variable profile.
-
-    Returns (grid_max, pad, certified): max of |u'| on a uniform grid plus a
-    curvature correction (h/2)*sup|u''| derived from the Fourier coefficients,
-    so ``certified`` dominates the true sup norm.
-    """
-    from .pbracket import _certified_sup  # pbracket imports this module
-    grid_max, pad = _certified_sup(u_poly.partial(0), grid_res)
-    return grid_max, pad, grid_max + pad
-
-
 def pin_conflict(pins, n_modes):
     """Why no profile of ``n_modes`` modes meets the pins [(t, v), ...], or None.
 
@@ -107,10 +95,10 @@ def make_pinned_profile(pins, n_modes=PROFILE_MODES, dim=2, coord=0):
     One solver: a linear program (the pointwise max of |u'| over the
     ``SLOPE_GRID`` grid is linear in the coefficients) with the pins as
     equality rows, solved by constraint exchange and cached (``_min_slope_lp``).
-    The achieved slope is certified on the same grid with a curvature pad and
-    reported in the metadata, with the solver record (``LP_KEYS``), which a
-    cached solve repeats. Raises ``InfeasiblePins`` for pins no profile meets
-    and ``RotvecError`` when HiGHS stops without an answer.
+    The achieved slope is certified on the same grid (``TrigPoly.certified_bounds``
+    of u') and reported in the metadata, with the solver record (``LP_KEYS``),
+    which a cached solve repeats. Raises ``InfeasiblePins`` for pins no profile
+    meets and ``RotvecError`` when HiGHS stops without an answer.
     """
     pins = [(float(t), float(v)) for t, v in pins]
     conflict = pin_conflict(pins, n_modes)
@@ -124,14 +112,15 @@ def make_pinned_profile(pins, n_modes=PROFILE_MODES, dim=2, coord=0):
         raise InfeasiblePins(f"pin residual {residual:.3e} after the slope LP")
 
     u_poly = _profile_poly(theta, n_modes)
-    grid_max, pad, certified = profile_slope_certificate(u_poly, SLOPE_GRID)
+    lo, hi, pad = u_poly.partial(0).certified_bounds(SLOPE_GRID)
+    grid_max = max(hi, -lo)
     meta = {
         "pins": pins,
         "n_modes": n_modes,
         "coord": coord,
         "slope_grid_max": grid_max,
         "slope_pad": pad,
-        "certified_slope": certified,
+        "certified_slope": grid_max + pad,
         "profile_coeffs": theta.tolist(),
         **solver,
     }
@@ -162,7 +151,10 @@ def _min_slope_lp(pins, n_modes, grid_res):
 
     Stall guard: when tau does not rise while rows are still violated, the
     optimal face is not a point and the exchange can wander along it; the
-    next round then takes every row, which is the full LP itself.
+    next round then takes every row, which is the full LP itself. Where the
+    simplex stops on the full LP without an answer (HiGHS status 15 on pins
+    whose optimum sits on the mean-value floor, a large optimal face), the
+    same LP is solved once more by the interior-point method.
 
     Solves are cached on their exact inputs (pin floats, n_modes, grid_res);
     a hit returns copies and the record of the solve it repeats.
@@ -184,9 +176,11 @@ def _min_slope_lp(pins, n_modes, grid_res):
         rounds += 1
         rows = B[active]
         ones = np.ones((len(rows), 1))
-        res = linprog(cost, A_ub=np.block([[rows, -ones], [-rows, -ones]]),
-                      b_ub=np.zeros(2 * len(rows)), A_eq=a_eq, b_eq=vals,
-                      bounds=bounds, method="highs")
+        lp = dict(A_ub=np.block([[rows, -ones], [-rows, -ones]]), b_ub=np.zeros(2 * len(rows)),
+                  A_eq=a_eq, b_eq=vals, bounds=bounds)
+        res = linprog(cost, **lp, method="highs")
+        if res.status not in (0, 2) and active.all():
+            res = linprog(cost, **lp, method="highs-ipm")
         if res.status == 2:
             raise InfeasiblePins(f"slope minimization infeasible: {res.message}")
         if not res.success:

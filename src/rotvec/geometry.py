@@ -227,24 +227,22 @@ def circular_residual(values, target):
 
 
 class RegionSpec:
-    """A subset of phase space given by coordinate constraints or a predicate.
+    """A subset of phase space given by coordinate constraints.
 
     Supported kinds:
 
     - ``momentum-level-torus``: {p = c}, all momenta pinned, positions free;
-    - ``product-of-levels``: an arbitrary list of pinned coordinates;
-    - ``predicate``: a membership callable plus an explicit sample grid.
+    - ``product-of-levels``: an arbitrary list of pinned coordinates.
 
     Every region carries a finite sample grid (default 32 points per free
     dimension) used for seeding searches and for hard constraint validation.
     """
 
-    def __init__(self, space, kind, constraints, grid, predicate=None):
+    def __init__(self, space, kind, constraints, grid):
         self.space = space
         self.kind = kind
         self.constraints = tuple(constraints)  # (coord index, value) pairs
         self.grid = np.asarray(grid, dtype=float).reshape(-1, space.dim)
-        self.predicate = predicate
         if len(self.grid) == 0:
             raise ValueError("region sample grid is empty")
         defects = self.defect(self.grid)
@@ -257,9 +255,6 @@ class RegionSpec:
     def defect(self, X):
         """Distance of each row of X from the region (0 on the region)."""
         X = np.asarray(X, dtype=float).reshape(-1, self.space.dim)
-        if self.kind == "predicate":
-            inside = np.asarray(self.predicate(X), dtype=bool)
-            return np.where(inside, 0.0, 1.0)
         out = np.zeros(len(X))
         for idx, value in self.constraints:
             if self.space.periodic[idx]:
@@ -307,8 +302,3 @@ def product_of_levels(space, constraints, per_dim=32):
     pinned = dict(constraints)
     grid = _free_dim_grid(space, pinned, per_dim)
     return RegionSpec(space, "product-of-levels", pinned.items(), grid)
-
-
-def predicate_region(space, predicate, grid):
-    """A region given by a membership predicate and an explicit sample grid."""
-    return RegionSpec(space, "predicate", (), grid, predicate=predicate)

@@ -7,7 +7,8 @@ The bracket of a function F with a closed 1-form alpha is
 a function on phase space. Because every F and every potential here is a
 trigonometric polynomial and omega has constant coefficients, the bracket is
 again an exact trigonometric polynomial: sup norms can therefore be certified
-(grid maximum plus a Fourier-coefficient curvature pad), not merely sampled.
+(grid maximum plus the exact Lipschitz pad, ``TrigPoly.certified_bounds``),
+not merely sampled.
 
 ``pb_upper_bound(problem, F, cert_grid_res)`` certifies the sup norm of the
 bracket of a candidate F that the caller builds (F <= 0 on X, F >= 1 on X')
@@ -80,29 +81,10 @@ def bracket(F: TrigPoly, alpha: ClosedOneForm, space: PhaseSpace, x, s=0.0) -> f
 
 
 def sup_norm(F, alpha, space, grid_res=512):
-    """Certified uniform norm of {F, alpha} over phase space (and time).
-
-    The bracket polynomial is evaluated on a uniform grid over its *active*
-    coordinates only (inactive ones cannot change the value); the grid
-    maximum is inflated by (h/2) * L, L the exact coefficient bound on the
-    gradient, giving an upper bound of the true sup.
-    """
-    return sum(_certified_sup(bracket_poly(F, alpha, space), grid_res))
-
-
-def _certified_sup(poly: TrigPoly, grid_res):
-    """(grid_max, pad): max |poly| on the uniform grid of ``grid_res`` points per
-    active axis of (x, t), and the Lipschitz pad (h/2) * L with L the exact
-    coefficient bound on the gradient; the true sup is at most their sum."""
-    if grid_res < 16:
-        raise ValueError("grid_res must be at least 16 per dimension")
-    if poly.n_terms == 0:
-        return 0.0, 0.0
-    n_axes = len(poly.active_dims()) + poly.is_time_dependent
-    if grid_res ** n_axes > 2 ** 26:
-        raise ValueError(f"sup-norm grid with {n_axes} active dims at {grid_res} is too large")
-    grid_max = float(np.abs(poly.grid_values(grid_res)).max())
-    return grid_max, 0.5 / grid_res * poly.grad_l1_bound()  # pad 0 for a constant
+    """Certified uniform norm of {F, alpha} over phase space (and time): the
+    largest |value| on the bracket's ``certified_bounds`` grid plus its pad."""
+    lo, hi, pad = bracket_poly(F, alpha, space).certified_bounds(grid_res)
+    return max(hi, -lo) + pad
 
 
 def averaged_bracket(F, alpha, space, x, T, h) -> float:
@@ -180,8 +162,9 @@ def pb_upper_bound(problem: PbProblem, F: TrigPoly, cert_grid_res=4096) -> PbRes
         raise InfeasibleFamily(
             f"the candidate fails the region constraints: X_max = {constraint_audit['X_max']} "
             f"(F <= 0 on X), Xp_min = {constraint_audit['Xp_min']} (F >= 1 on X')")
-    grid_max, pad = _certified_sup(bracket_poly(F, ClosedOneForm(problem.a), problem.space),
-                                   cert_grid_res)
+    pb = bracket_poly(F, ClosedOneForm(problem.a), problem.space)
+    lo, hi, pad = pb.certified_bounds(cert_grid_res)
+    grid_max = max(hi, -lo)
     certified = grid_max + pad
     audit = {
         "restarts": [],  # no search runs; the key stays for readers of the audit schema
@@ -222,8 +205,6 @@ def chord_search(alpha: ClosedOneForm, space: PhaseSpace, X: RegionSpec,
     crossing and takes the earliest; among crossings within 1e-15 of it, the
     lowest seed index wins. Returns None when no seed arrives before ``t_max``.
     """
-    if Xp.kind == "predicate":
-        raise ValueError("chord search needs a level-type target region")
     field = locally_hamiltonian_field(alpha, space)
     targets = dict(Xp.constraints)
     here = dict(X.constraints)

@@ -34,9 +34,7 @@ def extend_space(base: PhaseSpace) -> PhaseSpace:
     n, d = base.n, base.dim
     ext = np.zeros((d + 2, d + 2))
     idx = _embedding(n)
-    for i in range(d):
-        for j in range(d):
-            ext[idx[i], idx[j]] = base.omega.matrix[i, j]
+    ext[np.ix_(idx, idx)] = base.omega.matrix
     ext[n, 2 * n + 1] = 1.0   # dr ^ ds pairs like dp ^ dq
     ext[2 * n + 1, n] = -1.0
     periodic = np.zeros(d + 2, dtype=bool)
@@ -115,10 +113,6 @@ def stab(X: RegionSpec, nspace: PhaseSpace) -> RegionSpec:
     grid = np.zeros((len(base) * len(s_axis), nspace.dim))
     grid[:, idx] = np.repeat(base, len(s_axis), axis=0)
     grid[:, 2 * n + 1] = np.tile(s_axis, len(base))
-    if X.kind == "predicate":
-        def predicate(Z):
-            return X.predicate(np.asarray(Z)[:, idx]) & (np.abs(np.asarray(Z)[:, n]) <= 1e-9)
-        return RegionSpec(nspace, "predicate", (), grid, predicate=predicate)
     constraints = [(int(idx[i]), v) for i, v in X.constraints] + [(n, 0.0)]
     return RegionSpec(nspace, "product-of-levels", constraints, grid)
 

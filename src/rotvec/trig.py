@@ -9,6 +9,12 @@ class below keeps the terms in canonical form so that sums and products stay
 in the family (product-to-sum identities) and so that gradients, time
 derivatives, sup-norm coefficient bounds and Lipschitz bounds are all exact.
 
+Every number the package calls certified comes from one rule,
+``TrigPoly.certified_bounds``: the extremes of f on a uniform grid, widened by
+the exact Lipschitz pad (h/2) * 2 pi sum ||k_j||_1 |c_j| (the error bound of
+interpolating from the nearest grid node). The sharpness slope applies it to
+u', the bracket bound to {F, alpha}, and the suspension's r-bound to F itself.
+
 Values, gradients, time derivatives and field velocities (x -> M grad f + c)
 are all sums g = sum_j sin(theta_j + q_j pi/2) w_j, theta_j = 2 pi (k_j.x + m_j t),
 with quarter turns q_j (cos is sin turned once; d/dx turns once more) and real
@@ -34,6 +40,9 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 COS, SIN = 0, 1
+
+MIN_GRID_RES = 16  # fewest points per axis of a certificate grid
+MAX_GRID_POINTS = 2 ** 26  # most points of a certificate grid
 
 
 class TrigPoly:
@@ -212,13 +221,29 @@ class TrigPoly:
         return float(np.abs(self.coeffs).sum())
 
     def grad_l1_bound(self):
-        """2*pi*sum ||k_j||_1 |c_j|: bounds sum_i |df/dx_i| everywhere.
-
-        Combined with a grid of mesh h this certifies the sup norm: the true
-        sup exceeds the grid max by at most (h/2) * grad_l1_bound().
-        """
+        """2*pi*sum ||k_j||_1 |c_j|: bounds sum_i |df/dx_i| (t included) everywhere."""
         kl1 = np.abs(self.kvecs).sum(axis=1) + np.abs(self.tfreq)
         return float(TWO_PI * (kl1 * np.abs(self.coeffs)).sum())
+
+    def certified_bounds(self, grid_res):
+        """(grid_min, grid_max, pad): every value of f lies in [grid_min - pad, grid_max + pad].
+
+        grid_min and grid_max are the extremes of ``grid_values(grid_res)``, and
+        pad = (h/2) * grad_l1_bound() with h = 1/grid_res: every point of (x, t)
+        is within h/2 of a grid node along each active axis, and f moves by at
+        most sup|d_i f| per unit along axis i. (0.0, 0.0, 0.0) for no terms.
+        Raises ValueError below ``MIN_GRID_RES`` points per axis and above
+        ``MAX_GRID_POINTS`` grid points.
+        """
+        if grid_res < MIN_GRID_RES:
+            raise ValueError(f"grid_res must be at least {MIN_GRID_RES} per dimension")
+        if self.n_terms == 0:
+            return 0.0, 0.0, 0.0
+        n_axes = len(self.active_dims()) + self.is_time_dependent
+        if grid_res ** n_axes > MAX_GRID_POINTS:
+            raise ValueError(f"certificate grid of {grid_res}^{n_axes} points is too large")
+        values = self.grid_values(grid_res)
+        return float(values.min()), float(values.max()), 0.5 * self.grad_l1_bound() / grid_res
 
     def active_dims(self):
         """Indices of coordinates the polynomial actually depends on."""

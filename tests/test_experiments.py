@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,19 @@ def test_nonauto_range_grid_stays_small(monkeypatch):
     top = F.eval(np.column_stack([p1, -p1])).max()
     bottom = F.eval(np.column_stack([p1, 0.5 - p1])).min()
     assert float(report.results["r_bound"]["threshold"].split()[1]) >= top - bottom
+
+
+def test_nonauto_range_grid_on_five_axes():
+    # F active in p1, p2, q1, q2 and s: the 2**18-point rule gives 12 points per
+    # axis, below the fewest a certificate grid takes, so the r-bound takes 16
+    waves = [[0.5, [1, 0, 0, 0], 0, "cos"], [0.1, [0, 1, 1, 1], 1, "cos"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureWarning)
+        report = rv.run({**SMALL["nonauto-suspension"], "space": {"kind": "torus", "n": 2},
+                         "form": {"class": [0.0, 0.0, 1.0, 0.0]},
+                         "family": {"family": "fourier", "coeffs": waves}})
+    r_bound = report.results["r_bound"]
+    assert r_bound["pass"] and float(r_bound["threshold"].split()[1]) >= 1.2  # max F - min F
 
 
 def test_doubling_horizons_need_a_positive_start():

@@ -6,8 +6,7 @@ from scipy.optimize import OptimizeResult, linprog
 import rotvec as rv
 from rotvec import fields
 from rotvec.errors import InfeasiblePins, RotvecError
-from rotvec.fields import (LP_KEYS, SLOPE_GRID, _min_slope_lp, _profile_basis, _profile_poly,
-                           profile_slope_certificate)
+from rotvec.fields import LP_KEYS, SLOPE_GRID, _min_slope_lp, _profile_basis, _profile_poly
 from rotvec.trig import TWO_PI, TrigPoly
 
 SIN2 = [(0.5, [0, 0], 0, "cos"), (-0.5, [1, 0], 0, "cos")]  # sin^2(pi p1) on T^2
@@ -320,8 +319,8 @@ def test_exchange_certifies_the_full_lp_slope_on_example1_pins(n_modes):
     pins = [(a, 0.0), (a + 0.5, 1.0)]
     meta = rv.make_pinned_profile(pins, n_modes=n_modes).metadata
     theta, _ = full_slope_lp(pins, n_modes)
-    _, _, certified = profile_slope_certificate(_profile_poly(theta, n_modes))
-    assert abs(meta["certified_slope"] - certified) <= 1e-12
+    lo, hi, pad = _profile_poly(theta, n_modes).partial(0).certified_bounds(SLOPE_GRID)
+    assert abs(meta["certified_slope"] - (max(hi, -lo) + pad)) <= 1e-12
     assert meta["lp_status"] == 0 and meta["lp_rows"] < SLOPE_GRID // 4
 
 
@@ -364,6 +363,17 @@ def test_exchange_stall_guard_solves_the_full_lp():
     theta_full, tau_full = full_slope_lp(pins, n_modes, grid_res)
     assert solver["lp_value"] == pytest.approx(tau_full, rel=1e-12)
     assert np.array_equal(theta, theta_full)  # the guard's round is the one-call solve
+
+
+def test_exchange_stall_guard_solves_degenerate_pins_by_interior_point():
+    # the simplex stops on the guard's full LP with HiGHS status 15 (about 20 s);
+    # the interior-point retry solves it at the mean-value floor L
+    pins = [(0.42118881422895527, 0.8994798381096734), (0.10592123670732445, 0.141272809659597)]
+    floor = abs(pins[0][1] - pins[1][1]) / (pins[0][0] - pins[1][0])  # |dv| / shorter arc
+    meta = rv.make_pinned_profile(pins, n_modes=31).metadata
+    assert meta["lp_status"] == 0 and meta["lp_rows"] == SLOPE_GRID
+    assert abs(meta["lp_value"] - floor) <= 1e-7 * floor  # HiGHS's feasibility tolerance
+    assert meta["certified_slope"] >= floor  # max|u'| >= floor by the mean value theorem
 
 
 def counting_linprog(monkeypatch):

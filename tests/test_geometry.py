@@ -150,15 +150,6 @@ def test_region_disjointness():
     assert not X.is_disjoint_from(rv.momentum_level_torus(sp, [0.0]))
 
 
-def test_predicate_region():
-    sp = rv.torus(1)
-    grid = np.array([[0.1, 0.0], [0.2, 0.5]])
-    reg = rv.predicate_region(sp, lambda X: X[:, 0] < 0.3, grid)
-    assert np.all(reg.contains(grid))
-    with pytest.raises(ValueError):
-        rv.predicate_region(sp, lambda X: X[:, 0] < 0.05, grid)  # grid off-region
-
-
 def test_twisted_structure_matrix():
     gamma = 0.3
     omega = rv.twisted_structure(gamma)

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 import rotvec as rv
 from rotvec.errors import InfeasibleFamily
 from rotvec.fields import LP_KEYS, SLOPE_GRID, _profile_basis, _profile_poly
-from rotvec.pbracket import _certified_sup, bracket_poly
+from rotvec.pbracket import bracket_poly
 from rotvec.trig import TrigPoly
 
 SIN2 = [(0.5, [0, 0], 0, "cos"), (-0.5, [1, 0], 0, "cos")]
@@ -118,7 +118,8 @@ def test_sup_norm_certificate_monotone():
     F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], n_modes=16)
     alpha = rv.one_form([0.0, 0.5])
     cert_coarse = rv.sup_norm(F, alpha, sp, grid_res=512)
-    raw_fine = _certified_sup(bracket_poly(F, alpha, sp), 2048)[0]
+    lo, hi, _ = bracket_poly(F, alpha, sp).certified_bounds(2048)
+    raw_fine = max(hi, -lo)
     assert cert_coarse >= raw_fine
     cert_fine = rv.sup_norm(F, alpha, sp, grid_res=2048)
     assert cert_fine >= raw_fine

@@ -28,6 +28,17 @@ def test_extended_space_structure():
     assert N.omega.matrix[1, 3] == 1.0 and N.omega.matrix[3, 1] == -1.0
 
 
+def test_extend_space_copies_the_base_form_entry_by_entry():
+    base = rv.torus(2, rv.twisted_structure(0.3))
+    idx = [0, 1, 3, 4]  # (p1, p2, q1, q2) in (p1, p2, r, q1, q2, s)
+    loop = np.zeros((6, 6))  # the per-entry copy the block assignment replaced
+    for i in range(4):
+        for j in range(4):
+            loop[idx[i], idx[j]] = base.omega.matrix[i, j]
+    loop[2, 5], loop[5, 2] = 1.0, -1.0
+    assert np.array_equal(rv.extend_space(base).omega.matrix, loop)
+
+
 def test_suspended_hamiltonian_value():
     H = suspended()
     z = rv.extended_point([0.25, 0.7], 0.3, 0.125, H.nspace)

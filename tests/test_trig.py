@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotvec.trig import COS, DENSE_MIN_K, SIN, TWO_PI, TrigPoly, _canonicalize
+from rotvec.trig import (COS, DENSE_MIN_K, MAX_GRID_POINTS, MIN_GRID_RES, SIN, TWO_PI, TrigPoly,
+                         _canonicalize)
 
 
 def test_wave_eval_matches_closed_form():
@@ -327,19 +328,31 @@ def test_product_matches_loop(data):
 @PROPERTY
 @given(data=st.data())
 def test_certificates_dominate_denser_resample(kernel, data):
-    from rotvec.fields import profile_slope_certificate
-    from rotvec.pbracket import _certified_sup
-
     dim = data.draw(st.integers(1, 2))
     poly = data.draw(trig_polys(kernel, dim, time=dim == 1))
     grid = 32
+    lo, hi, pad = poly.certified_bounds(grid)
+    slack = 1e-12 * term_scale(poly, "eval")
     axes = [np.arange(4 * grid) / (4 * grid)] * dim
     X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     for t in np.arange(4 * grid) / (4 * grid) if poly.is_time_dependent else [0.0]:
-        resample = np.abs(sin_sum(poly, X, t, "eval")).max(initial=0.0)
-        assert sum(_certified_sup(poly, grid)) >= resample - 1e-12 * term_scale(poly, "eval")
+        values = sin_sum(poly, X, t, "eval")
+        # the sup certificate (the bracket bound's) and the range certificate (the r-bound's)
+        assert max(hi, -lo) + pad >= np.abs(values).max(initial=0.0) - slack
+        assert lo - pad - slack <= values.min() and values.max() <= hi + pad + slack
 
     u = data.draw(trig_polys(kernel, 1, time=False))
-    _, _, certified = profile_slope_certificate(u, grid)
+    lo, hi, pad = u.partial(0).certified_bounds(grid)  # the sharpness slope certificate
     t = (np.arange(4 * grid) / (4 * grid))[:, None]
-    assert certified >= np.abs(sin_sum(u, t, 0.0, "grad")).max() - 1e-12 * term_scale(u, "grad")
+    assert max(hi, -lo) + pad >= np.abs(sin_sum(u, t, 0.0, "grad")).max() - 1e-12 * term_scale(
+        u, "grad")
+
+
+def test_certified_bounds_grid_limits():
+    f = TrigPoly.wave(2, 0.5, [1, 0], 0, "cos") + TrigPoly.wave(2, 0.25, [0, 3], 1, "sin")
+    assert TrigPoly.zero(2).certified_bounds(MIN_GRID_RES) == (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        f.certified_bounds(MIN_GRID_RES - 1)
+    assert 512 ** 3 > MAX_GRID_POINTS
+    with pytest.raises(ValueError):  # 3 active axes (p1, q1, t)
+        f.certified_bounds(512)
