@@ -619,8 +619,7 @@ def _run_nonauto(cfg, out):
     h_drift = float(np.max(np.abs(straj.energies[unit_idx] - straj.energies[0])))
     r_max = float(np.max(np.abs(straj.lifts[:, space.n])))
     n_axes = max(1, len(F.active_dims()) + F.is_time_dependent)
-    # <= 2**18 points up to 4 axes; more axes take the fewest points a certificate allows
-    grid_res = max(MIN_GRID_RES, min(512, int(2 ** (18 / n_axes))))
+    grid_res = min(512, int(2 ** (18 / n_axes)))  # <= 2**18 points
     # max F - min F bounds |r| on orbits from r = 0; the grid range falls short
     # of it by at most twice the Lipschitz pad, so the sum is an upper bound
     lo, hi, pad = F.certified_bounds(grid_res)

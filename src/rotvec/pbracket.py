@@ -34,7 +34,7 @@ from .fields import LP_KEYS
 from .geometry import (ClosedOneForm, CohomologyClass, PhaseSpace, RegionSpec,
                        circular_residual)
 from .measures import pairing_integrand
-from .trig import TrigPoly
+from .trig import MIN_GRID_RES, TrigPoly
 
 CONSTRAINT_TOL = 1e-9  # slack of the admissibility checks F <= 0 on X, F >= 1 on X'
 LANDING_TOL = 1e-6  # largest membership defect of X' at a counted chord landing
@@ -83,6 +83,8 @@ def bracket(F: TrigPoly, alpha: ClosedOneForm, space: PhaseSpace, x, s=0.0) -> f
 def sup_norm(F, alpha, space, grid_res=512):
     """Certified uniform norm of {F, alpha} over phase space (and time): the
     largest |value| on the bracket's ``certified_bounds`` grid plus its pad."""
+    if grid_res < MIN_GRID_RES:
+        raise ValueError(f"grid_res must be at least {MIN_GRID_RES} per dimension")
     lo, hi, pad = bracket_poly(F, alpha, space).certified_bounds(grid_res)
     return max(hi, -lo) + pad
 
@@ -162,6 +164,8 @@ def pb_upper_bound(problem: PbProblem, F: TrigPoly, cert_grid_res=4096) -> PbRes
         raise InfeasibleFamily(
             f"the candidate fails the region constraints: X_max = {constraint_audit['X_max']} "
             f"(F <= 0 on X), Xp_min = {constraint_audit['Xp_min']} (F >= 1 on X')")
+    if cert_grid_res < MIN_GRID_RES:
+        raise ValueError(f"cert_grid_res must be at least {MIN_GRID_RES} per dimension")
     pb = bracket_poly(F, ClosedOneForm(problem.a), problem.space)
     lo, hi, pad = pb.certified_bounds(cert_grid_res)
     grid_max = max(hi, -lo)

@@ -41,7 +41,7 @@ TWO_PI = 2.0 * np.pi
 
 COS, SIN = 0, 1
 
-MIN_GRID_RES = 16  # fewest points per axis of a certificate grid
+MIN_GRID_RES = 16  # fewest points per axis a caller's certificate grid may ask for
 MAX_GRID_POINTS = 2 ** 26  # most points of a certificate grid
 
 
@@ -231,12 +231,10 @@ class TrigPoly:
         grid_min and grid_max are the extremes of ``grid_values(grid_res)``, and
         pad = (h/2) * grad_l1_bound() with h = 1/grid_res: every point of (x, t)
         is within h/2 of a grid node along each active axis, and f moves by at
-        most sup|d_i f| per unit along axis i. (0.0, 0.0, 0.0) for no terms.
-        Raises ValueError below ``MIN_GRID_RES`` points per axis and above
-        ``MAX_GRID_POINTS`` grid points.
+        most sup|d_i f| per unit along axis i; this holds at any grid_res >= 1.
+        (0.0, 0.0, 0.0) for no terms. Raises ValueError above ``MAX_GRID_POINTS``
+        grid points.
         """
-        if grid_res < MIN_GRID_RES:
-            raise ValueError(f"grid_res must be at least {MIN_GRID_RES} per dimension")
         if self.n_terms == 0:
             return 0.0, 0.0, 0.0
         n_axes = len(self.active_dims()) + self.is_time_dependent

@@ -300,18 +300,17 @@ def test_nonauto_range_grid_stays_small(monkeypatch):
     bottom = F.eval(np.column_stack([p1, 0.5 - p1])).min()
     assert float(report.results["r_bound"]["threshold"].split()[1]) >= top - bottom
 
-
-def test_nonauto_range_grid_on_five_axes():
-    # F active in p1, p2, q1, q2 and s: the 2**18-point rule gives 12 points per
-    # axis, below the fewest a certificate grid takes, so the r-bound takes 16
-    waves = [[0.5, [1, 0, 0, 0], 0, "cos"], [0.1, [0, 1, 1, 1], 1, "cos"]]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QuadratureWarning)
-        report = rv.run({**SMALL["nonauto-suspension"], "space": {"kind": "torus", "n": 2},
-                         "form": {"class": [0.0, 0.0, 1.0, 0.0]},
-                         "family": {"family": "fourier", "coeffs": waves}})
-    r_bound = report.results["r_bound"]
-    assert r_bound["pass"] and float(r_bound["threshold"].split()[1]) >= 1.2  # max F - min F
+    # F active in p1..pn, q1..qn and s: 12 points per axis on 5 axes (n = 2), 5 on 7 (n = 3);
+    # the two waves share no axis, so max F - min F = 2 * (0.5 + 0.1)
+    for n in (2, 3):
+        waves = [[0.5, [1] + [0] * (2 * n - 1), 0, "cos"], [0.1, [0] + [1] * (2 * n - 1), 1, "cos"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureWarning)
+            report = rv.run({**SMALL["nonauto-suspension"], "space": {"kind": "torus", "n": n},
+                             "form": {"class": [0.0] * n + [1.0] + [0.0] * (n - 1)},
+                             "family": {"family": "fourier", "coeffs": waves}})
+        r_bound = report.results["r_bound"]
+        assert r_bound["pass"] and float(r_bound["threshold"].split()[1]) >= 1.2
 
 
 def test_doubling_horizons_need_a_positive_start():

@@ -372,7 +372,7 @@ def test_exchange_stall_guard_solves_degenerate_pins_by_interior_point():
     floor = abs(pins[0][1] - pins[1][1]) / (pins[0][0] - pins[1][0])  # |dv| / shorter arc
     meta = rv.make_pinned_profile(pins, n_modes=31).metadata
     assert meta["lp_status"] == 0 and meta["lp_rows"] == SLOPE_GRID
-    assert abs(meta["lp_value"] - floor) <= 1e-7 * floor  # HiGHS's feasibility tolerance
+    assert abs(meta["lp_value"] - floor) <= 2e-9  # 1.09e-9 measured
     assert meta["certified_slope"] >= floor  # max|u'| >= floor by the mean value theorem
 
 

@@ -26,17 +26,15 @@ def test_extended_space_structure():
     assert list(N.periodic) == [True, False, True, True]
     # dr ^ ds block pairs like dp ^ dq
     assert N.omega.matrix[1, 3] == 1.0 and N.omega.matrix[3, 1] == -1.0
-
-
-def test_extend_space_copies_the_base_form_entry_by_entry():
+    # a twisted base form lands entry by entry on (p1, p2, q1, q2) in (p1, p2, r, q1, q2, s)
     base = rv.torus(2, rv.twisted_structure(0.3))
-    idx = [0, 1, 3, 4]  # (p1, p2, q1, q2) in (p1, p2, r, q1, q2, s)
-    loop = np.zeros((6, 6))  # the per-entry copy the block assignment replaced
+    idx = [0, 1, 3, 4]
+    expected = np.zeros((6, 6))
     for i in range(4):
         for j in range(4):
-            loop[idx[i], idx[j]] = base.omega.matrix[i, j]
-    loop[2, 5], loop[5, 2] = 1.0, -1.0
-    assert np.array_equal(rv.extend_space(base).omega.matrix, loop)
+            expected[idx[i], idx[j]] = base.omega.matrix[i, j]
+    expected[2, 5], expected[5, 2] = 1.0, -1.0
+    assert np.array_equal(rv.extend_space(base).omega.matrix, expected)
 
 
 def test_suspended_hamiltonian_value():

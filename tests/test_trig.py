@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotvec.trig import (COS, DENSE_MIN_K, MAX_GRID_POINTS, MIN_GRID_RES, SIN, TWO_PI, TrigPoly,
-                         _canonicalize)
+from rotvec.trig import COS, DENSE_MIN_K, MAX_GRID_POINTS, SIN, TWO_PI, TrigPoly, _canonicalize
 
 
 def test_wave_eval_matches_closed_form():
@@ -350,9 +349,10 @@ def test_certificates_dominate_denser_resample(kernel, data):
 
 def test_certified_bounds_grid_limits():
     f = TrigPoly.wave(2, 0.5, [1, 0], 0, "cos") + TrigPoly.wave(2, 0.25, [0, 3], 1, "sin")
-    assert TrigPoly.zero(2).certified_bounds(MIN_GRID_RES) == (0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        f.certified_bounds(MIN_GRID_RES - 1)
+    assert TrigPoly.zero(2).certified_bounds(16) == (0.0, 0.0, 0.0)
+    for grid in (1, 2, 5):  # the pad holds on any grid, however coarse
+        lo, hi, pad = f.certified_bounds(grid)
+        assert lo - pad <= -0.75 and 0.75 <= hi + pad  # f spans [-0.75, 0.75]
     assert 512 ** 3 > MAX_GRID_POINTS
     with pytest.raises(ValueError):  # 3 active axes (p1, q1, t)
         f.certified_bounds(512)
