@@ -28,7 +28,8 @@ print(f"energy drift along the orbit: {traj.energy_drift():.2e}")
 mu = rv.empirical_measure(traj)
 rho = rv.rotation_vector(mu, F)
 print(f"rotation vector (dual to [dp1], [dq1]): {rho.coeffs}")
-print(f"pairing with [dq1]: {rv.pair(rv.CohomologyClass([0.0, 1.0]), rho):.6f}")
+# dual bases: <[dq1], rho> is the dot product of the coefficient vectors
+print(f"pairing with [dq1]: {rv.CohomologyClass([0.0, 1.0]).coeffs @ rho.coeffs:.6f}")
 
 ## the extremal search over a seed grid ------------------------------------
 # the translation taking {p1=0} to {p1=1/2} has net-translation class

@@ -19,14 +19,15 @@ F = rv.fourier_hamiltonian(4, [(0.5, [0, 0, 0, 0], 0, "cos"),
                                (-0.5, [1, 0, 0, 0], 0, "cos")])
 
 ## the field at p1 = 0.2 ----------------------------------------------------
-x0 = [0.2, 0.0, 0.0, 0.0]
-v = rv.sgrad(F, space, x0)
+x0 = np.array([0.2, 0.0, 0.0, 0.0])
+field = rv.hamiltonian_field(F, space)
+v = field.velocity(x0[None])[0]  # the batched field on a batch of one point
 speed = np.pi * np.sin(0.4 * np.pi)
 print(f"field at p1 = 0.2: {v}")
 print(f"expected speed * (0, 0, 1, -gamma) with speed = pi sin(0.4 pi) = {speed:.6f}")
 
 ## long-horizon rotation vector ---------------------------------------------
-traj = rv.integrate(rv.hamiltonian_field(F, space), x0, T=2000.0, h=1e-2)
+traj = rv.integrate(field, x0, T=2000.0, h=1e-2)
 rho = rv.rotation_vector(rv.empirical_measure(traj), F)
 print(f"\nrotation vector at T = 2000: {rho.coeffs}")
 print(f"q-component error: {np.abs(rho.coeffs[2:] - [speed, -gamma * speed]).max():.2e}")
@@ -35,7 +36,7 @@ print(f"momentum components: {np.abs(rho.coeffs[:2]).max():.2e} (invariant tori)
 ## frequency ratio is irrational: the orbit never closes ---------------------
 print(f"\nfrequency ratio q2/q1 = {rho.coeffs[3] / rho.coeffs[2]:.9f} = -gamma "
       f"(gamma = {gamma:.9f})")
-wrapped = traj.wrapped()
+wrapped = rv.wrap(traj.lifts, space)
 gaps = np.abs(wrapped[1:, 2:] - wrapped[0, 2:]).max(axis=1)
 print(f"closest return of (q1, q2) to the start over T = 2000: {gaps.min():.4f} "
       "(never 0: quasi-periodic)")

@@ -30,6 +30,6 @@ print(f"asserted floor: {problem.floor}  ->  invariant in [{problem.floor}, {res
 print(f"winner admissibility: {w['constraints']}")
 
 ## the bracket of the winner is (1/2) u'(p1) ---------------------------------
-b = rv.bracket(F, rv.ClosedOneForm(a), space, [0.25, 0.0])
+b = float(rv.bracket_poly(F, rv.ClosedOneForm(a), space).eval([0.25, 0.0]))
 print(f"\nbracket of the winner at p1 = 1/4: {b:.4f} "
       "(the profile spreads its slope almost flat)")

@@ -7,27 +7,24 @@ between distinguished regions, finds flow chords, and carries the whole story
 over to time-periodic Hamiltonians through the autonomous suspension.
 """
 
-from .errors import (BlowUp, ConfigError, DegenerateForm, DimensionError,
-                     EmptyTrajectory, InfeasibleFamily, InfeasiblePins,
-                     InternalInconsistency, InvalidPoint, QuadratureWarning,
-                     RotvecError, StiffStep)
+from .errors import (BlowUp, ConfigError, DimensionError, EmptyTrajectory,
+                     InfeasibleFamily, InfeasiblePins, InvalidPoint,
+                     QuadratureWarning, RotvecError, StiffStep)
 from .trig import TrigPoly
 from .geometry import (DEFAULT_GAMMA, ClosedOneForm, CohomologyClass, PhaseSpace,
                        RegionSpec, RotationVector, SymplecticStructure,
-                       cotangent_of_torus, eval_form, flux_of_translation,
-                       momentum_level_torus, one_form, pair, product_of_levels,
-                       standard_structure, torus, twisted_structure, wrap)
+                       cotangent_of_torus, flux_of_translation, momentum_level_torus,
+                       one_form, product_of_levels, standard_structure, torus,
+                       twisted_structure, wrap)
 from .fields import (fourier_hamiltonian, make_pinned_profile, parse_family,
                      profile_hamiltonian)
 from .dynamics import (Trajectory, VectorFieldSpec, hamiltonian_field, integrate,
-                       locally_hamiltonian_field, reversed_field, sgrad,
-                       sgrad_form)
-from .measures import (ConvergenceReport, EmpiricalMeasure, average,
-                       empirical_measure, exact_boundary_term,
-                       extremal_orbit_search, full_seed_grid, invariance_defect,
-                       invariance_defect_bound, momentum_seed_grid,
+                       locally_hamiltonian_field)
+from .measures import (ConvergenceReport, EmpiricalMeasure, empirical_measure,
+                       exact_boundary_term, extremal_orbit_search, full_seed_grid,
+                       invariance_defect, invariance_defect_bound, momentum_seed_grid,
                        rotation_pairing, rotation_vector)
-from .pbracket import (Chord, PbProblem, PbResult, averaged_bracket, bracket, bracket_poly,
+from .pbracket import (Chord, PbProblem, PbResult, averaged_bracket, bracket_poly,
                        chord_search, pb_upper_bound, sup_norm)
 from .suspension import (CylinderMeasure, SuspendedHamiltonian,
                          cylinder_measure_from_suspension,

@@ -7,12 +7,11 @@ Field conventions (constant-coefficient omega, in (p, q) order):
 - Hamiltonian field of F: the field of -dF, i.e. v = Omega^{-1} grad F,
   which for the standard form is the usual qdot = dF/dp, pdot = -dF/dq.
 
-The default integrator is the implicit midpoint rule with fixed-point
-iteration: a symmetric one-step method whose energy error stays bounded over
-the very long horizons Birkhoff averaging needs (and which is exact for the
-momentum-only fields of the builtin examples). RK4 is provided for
-cross-validation only. Lifts are never re-wrapped mid-integration, so winding
-counts are read off from plain coordinate differences.
+The integrator is the implicit midpoint rule with fixed-point iteration: a
+symmetric one-step method whose energy error stays bounded over the very long
+horizons Birkhoff averaging needs (and which is exact for the momentum-only
+fields of the builtin examples). Lifts are never re-wrapped mid-integration,
+so winding counts are read off from plain coordinate differences.
 
 All stepping is one loop, the node generator ``_nodes``, which steps a (B, dim)
 batch of orbits and yields (t, X, V) at every node: ``integrate`` stores the
@@ -25,8 +24,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import BlowUp, DegenerateForm, DimensionError, StiffStep
-from .geometry import ClosedOneForm, PhaseSpace, wrap
+from .errors import BlowUp, DimensionError, StiffStep
+from .geometry import ClosedOneForm, PhaseSpace
 from .trig import TrigPoly
 
 FP_TOL = 1e-12
@@ -40,31 +39,15 @@ class VectorFieldSpec:
     alpha) or "suspended" (the autonomous Hamiltonian field of F(x, s) + r on
     the extended space). ``velocity`` is the exact linear image of a
     gradient, x -> M grad F(x, t) + c, summed by the TrigPoly evaluator: no
-    per-step linear solves, no numerical differentiation.
+    per-step linear solves, no numerical differentiation. The field at one
+    point x is ``velocity(x[None], t)[0]``.
     """
 
-    def __init__(self, kind, space, velocity, conserved=None, source=None):
+    def __init__(self, kind, space, velocity, conserved=None):
         self.kind = kind
         self.space = space
         self.velocity = velocity
         self.conserved = conserved  # scalar logged along orbits
-        self.source = source
-
-    def __call__(self, X, t=0.0):
-        return self.velocity(X, t)
-
-    def residual(self, x, t=0.0):
-        """max |Omega^T v - beta| at x: the defining-equation defect."""
-        x = np.asarray(x, dtype=float)
-        v = self.velocity(x[None, :], t)[0]
-        omega = self.space.omega.matrix
-        if self.kind == "hamiltonian":
-            beta = -self.source.grad(x, t)
-        elif self.kind == "locally-hamiltonian":
-            beta = self.source.coefficients(x)
-        else:
-            beta = -self.source.grad(x)
-        return float(np.abs(omega.T @ v - beta).max())
 
 
 def hamiltonian_field(F: TrigPoly, space: PhaseSpace) -> VectorFieldSpec:
@@ -73,7 +56,7 @@ def hamiltonian_field(F: TrigPoly, space: PhaseSpace) -> VectorFieldSpec:
         raise DimensionError(f"F has dim {F.dim}, space has {space.dim}")
     vel = F.gradient_map(space.omega.inverse)
     conserved = None if F.is_time_dependent else F.eval
-    return VectorFieldSpec("hamiltonian", space, vel, conserved, source=F)
+    return VectorFieldSpec("hamiltonian", space, vel, conserved)
 
 
 def locally_hamiltonian_field(alpha: ClosedOneForm, space: PhaseSpace) -> VectorFieldSpec:
@@ -83,22 +66,7 @@ def locally_hamiltonian_field(alpha: ClosedOneForm, space: PhaseSpace) -> Vector
     potential = TrigPoly.zero(space.dim) if alpha.potential is None else alpha.potential
     vel = potential.gradient_map(-space.omega.inverse,
                                  const=-space.omega.inverse @ alpha.cclass.coeffs)
-    return VectorFieldSpec("locally-hamiltonian", space, vel, source=alpha)
-
-
-def sgrad_form(alpha: ClosedOneForm, space: PhaseSpace, x) -> np.ndarray:
-    """The locally Hamiltonian field of alpha at a single point."""
-    x = np.asarray(x, dtype=float)
-    v = -space.omega.inverse @ alpha.coefficients(x)
-    if np.abs(space.omega.matrix.T @ v - alpha.coefficients(x)).max() > 1e-12:
-        raise DegenerateForm("contraction residual exceeds 1e-12")
-    return v
-
-
-def sgrad(F: TrigPoly, space: PhaseSpace, x, s=0.0) -> np.ndarray:
-    """The Hamiltonian vector field of F at a single point (minus-sign convention)."""
-    x = np.asarray(x, dtype=float)
-    return space.omega.inverse @ F.grad(x, s)
+    return VectorFieldSpec("locally-hamiltonian", space, vel)
 
 
 # ---------------------------------------------------------------------------
@@ -124,25 +92,11 @@ class Trajectory:
     def T(self):
         return float(self.times[-1] - self.times[0])
 
-    def wrapped(self):
-        return wrap(self.lifts, self.space)
-
     def energy_drift(self):
         """max_t |E(x_t) - E(x_0)| over the log (None if no conserved quantity)."""
         if self.energies is None:
             return None
         return float(np.abs(self.energies - self.energies[0]).max())
-
-    def to_csv(self, path, names=None):
-        """Write (t, lift coords, wrapped coords, conserved value) as CSV."""
-        names = names or [f"x{i}" for i in range(self.space.dim)]
-        cols = [self.times] + list(self.lifts.T) + list(self.wrapped().T)
-        header = ["t"] + [f"{n}_lift" for n in names] + [f"{n}_wrapped" for n in names]
-        if self.energies is not None:
-            cols.append(self.energies)
-            header.append("E")
-        data = np.column_stack(cols)
-        np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
 
 
 def _step_counts(T, h):
@@ -189,26 +143,17 @@ def midpoint_step(vel, X, t, h, v_node=None):
     raise StiffStep(f"midpoint iteration stalled at t = {t + h} (err = {err:.2e}); reduce h")
 
 
-def rk4_step(vel, X, t, h, v_node=None):
-    """Classic RK4 step (cross-check integrator)."""
-    k1 = vel(X, t) if v_node is None else v_node
-    k2 = vel(X + 0.5 * h * k1, t + 0.5 * h)
-    k3 = vel(X + 0.5 * h * k2, t + 0.5 * h)
-    k4 = vel(X + h * k3, t + h)
-    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+_STEPPERS = {"midpoint": midpoint_step}
 
 
-_STEPPERS = {"midpoint": midpoint_step, "rk4": rk4_step}
-
-
-def _nodes(field, X, T, h, method="midpoint"):
+def _nodes(field, X, T, h):
     """Step the batch X (B, dim) over [0, T]; yield (t, X, V) at every node.
 
     Node k is at k*h, plus a last, shorter step to T if h does not divide T.
     The node velocity V is the predictor of the step leaving it.
     Raises BlowUp on a non-finite state (checked every 512 steps and at the end).
     """
-    step = _STEPPERS[method]  # looked up per call: perfbench's tracer re-points it
+    step = _STEPPERS["midpoint"]  # looked up per call: perfbench's tracer re-points it
     vel = field.velocity
     X = np.array(X, dtype=float)
     n_full, remainder = _step_counts(T, h)
@@ -225,7 +170,7 @@ def _nodes(field, X, T, h, method="midpoint"):
     yield t, X, vel(X, t)
 
 
-def integrate(field: VectorFieldSpec, x0, T, h, method="midpoint") -> Trajectory:
+def integrate(field: VectorFieldSpec, x0, T, h) -> Trajectory:
     """Integrate from x0 over [0, T] with fixed step h (last step may be shorter).
 
     x0 is one point (dim,) or a batch (B, dim); lifts are (n_nodes,) + x0.shape.
@@ -237,17 +182,11 @@ def integrate(field: VectorFieldSpec, x0, T, h, method="midpoint") -> Trajectory
     n_full, remainder = _step_counts(T, h)
     times = np.empty(n_full + 1 + bool(remainder))
     lifts = np.empty(times.shape + X0.shape)
-    for i, (t, X, _) in enumerate(_nodes(field, X0, T, h, method=method)):
+    for i, (t, X, _) in enumerate(_nodes(field, X0, T, h)):
         times[i], lifts[i] = t, X
     lifts = lifts.reshape(times.shape + x0.shape)
     energies = field.conserved(lifts) if field.conserved is not None else None
     return Trajectory(field.space, times, lifts, h, field.kind, energies)
-
-
-def reversed_field(field: VectorFieldSpec) -> VectorFieldSpec:
-    """The field generating the time-reversed flow (for reversibility checks)."""
-    return VectorFieldSpec(field.kind, field.space, -field.velocity, field.conserved,
-                           field.source)
 
 
 def _steps_per_unit(h):

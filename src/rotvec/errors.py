@@ -13,10 +13,6 @@ class DimensionError(RotvecError):
     """Vector/covector/matrix dimensions do not match the phase space."""
 
 
-class DegenerateForm(RotvecError):
-    """The symplectic coefficient matrix is (numerically) singular."""
-
-
 class StiffStep(RotvecError):
     """Fixed-point iteration of the implicit step failed to converge.
 
@@ -34,13 +30,6 @@ class EmptyTrajectory(RotvecError):
 
 class InfeasiblePins(RotvecError):
     """Profile pin constraints are contradictory (same point, different values)."""
-
-
-class InternalInconsistency(RotvecError):
-    """Two mathematically equivalent evaluation routes disagreed.
-
-    Signals a sign/convention bug, not a user error.
-    """
 
 
 class InfeasibleFamily(RotvecError):

@@ -53,10 +53,6 @@ class SymplecticStructure:
     def dim(self):
         return self.matrix.shape[0]
 
-    def pairing(self, u, w):
-        """omega(u, w)."""
-        return float(np.asarray(u) @ self.matrix @ np.asarray(w))
-
 
 def standard_structure(n):
     """omega = sum_i dp_i ^ dq_i in (p, q) order: Omega = [[0, I], [-I, 0]]."""
@@ -145,7 +141,7 @@ class CohomologyClass:
 
 @dataclass(frozen=True)
 class RotationVector:
-    """Coefficients of a class in H_1 in the basis dual to ([dp_i], [dq_i])."""
+    """H_1 coefficients in the basis dual to ([dp_i], [dq_i]): <a, rho> = a.coeffs @ rho.coeffs."""
 
     coeffs: np.ndarray
 
@@ -154,19 +150,12 @@ class RotationVector:
         self.coeffs.flags.writeable = False
 
 
-def pair(a: CohomologyClass, rho: RotationVector) -> float:
-    """The H^1 x H_1 pairing <a, rho>: a plain dot product in dual bases."""
-    if len(a.coeffs) != len(rho.coeffs):
-        raise DimensionError(f"class has {len(a.coeffs)} coefficients, vector {len(rho.coeffs)}")
-    return float(a.coeffs @ rho.coeffs)
-
-
 class ClosedOneForm:
     """A closed 1-form: constant class coefficients plus an optional exact part dg.
 
     The de Rham class is the constant part alone; g only reshuffles the form
     within its class. Evaluation on a tangent vector v at x is
-    (class + grad g(x)) . v.
+    ``coefficients(x) @ v`` = (class + grad g(x)) . v.
     """
 
     def __init__(self, cclass: CohomologyClass, potential: TrigPoly | None = None):
@@ -198,14 +187,6 @@ class ClosedOneForm:
 def one_form(coeffs, potential=None):
     """Shorthand: ClosedOneForm from raw class coefficients."""
     return ClosedOneForm(CohomologyClass(coeffs), potential)
-
-
-def eval_form(alpha: ClosedOneForm, v, x) -> float:
-    """alpha_x(v) for a tangent vector v at the point x (a lift)."""
-    v, x = np.asarray(v, dtype=float), np.asarray(x, dtype=float)
-    if v.shape != (alpha.dim,) or x.shape != (alpha.dim,):
-        raise DimensionError("form, vector and point dimensions do not match")
-    return float(alpha.coefficients(x) @ v)
 
 
 def flux_of_translation(w, space: PhaseSpace) -> CohomologyClass:

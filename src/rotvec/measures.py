@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import (Trajectory, VectorFieldSpec, _trapezoid_weights, birkhoff_stream,
                        hamiltonian_field, integrate)
 from .errors import DimensionError, EmptyTrajectory
-from .geometry import ClosedOneForm, PhaseSpace, RotationVector, wrap
+from .geometry import ClosedOneForm, PhaseSpace, RotationVector
 from .trig import TrigPoly, lattice_indices
 
 
@@ -30,8 +30,9 @@ from .trig import TrigPoly, lattice_indices
 class EmpiricalMeasure:
     """Weighted samples representing an orbit-segment average mu_{x,T}.
 
-    Samples are stored as lift coordinates (N, dim); weights sum to 1. The
-    source trajectory, when available, lets downstream code reuse the orbit
+    Samples are stored as lift coordinates (N, dim); weights sum to 1, so the
+    integral of H against mu is ``weights @ H(lifts)``. The source
+    trajectory, when available, lets downstream code reuse the orbit
     (invariance defects, unit-arc integrals) instead of re-integrating.
     """
 
@@ -50,14 +51,14 @@ class EmpiricalMeasure:
     def n_samples(self):
         return len(self.weights)
 
-    def wrapped(self):
-        return wrap(self.lifts, self.space)
-
 
 def empirical_measure(traj: Trajectory) -> EmpiricalMeasure:
-    """mu_{x,T} from a trajectory of ``integrate``: trapezoid weights over its nodes."""
+    """mu_{x,T} from a single-orbit trajectory of ``integrate``: trapezoid weights
+    over its nodes. Raises DimensionError on a batch of orbits."""
     if len(traj) == 0:
         raise EmptyTrajectory("cannot build a measure from an empty trajectory")
+    if traj.lifts.shape != (len(traj), traj.space.dim):
+        raise DimensionError(f"lifts of shape {traj.lifts.shape} are not one orbit's")
     w = np.ones(1) if len(traj) == 1 else _trapezoid_weights(traj.T, traj.h)
     return EmpiricalMeasure(
         traj.space, traj.lifts, w,
@@ -76,28 +77,26 @@ def measure_from_iterates(space, lifts, provenance=None, source=None) -> Empiric
     return EmpiricalMeasure(space, lifts, w, provenance=provenance or {}, source=source)
 
 
-def average(mu: EmpiricalMeasure, H) -> float:
-    """Integral of H against mu: a weighted sum over the samples.
-
-    H may be a callable on a lift batch (N, dim) -> (N,) or a TrigPoly.
-    """
-    values = H.eval(mu.lifts) if isinstance(H, TrigPoly) else np.asarray(H(mu.lifts))
-    return float(mu.weights @ values)
-
-
 def rotation_pairing(mu: EmpiricalMeasure, F: TrigPoly, alpha: ClosedOneForm) -> float:
     """mu-average of alpha(sgrad F): the pairing <[alpha], rho(mu, sgrad F)>.
 
     For flow-generated mu the exact part of alpha contributes only the
     boundary term (g(x_T) - g(x_0))/T (see ``exact_boundary_term``), so the
-    pairing depends on the class alone as T grows.
+    pairing depends on the class alone as T grows. F must be autonomous.
     """
     if alpha.dim != mu.space.dim:
         raise DimensionError("form does not match the measure's phase space")
+    _require_autonomous(F)
     grads = F.grad(mu.lifts)
     velocities = grads @ mu.space.omega.inverse.T
     integrand = np.einsum("ij,ij->i", alpha.coefficients(mu.lifts), velocities)
     return float(mu.weights @ integrand)
+
+
+def _require_autonomous(F):
+    """ValueError for a time-dependent F: samples carry no time to evaluate it at."""
+    if F.is_time_dependent:
+        raise ValueError("F depends on time: pair its time-one map with rotation_pairing_time_one")
 
 
 def exact_boundary_term(mu: EmpiricalMeasure, alpha: ClosedOneForm) -> float:
@@ -113,8 +112,10 @@ def rotation_vector(mu: EmpiricalMeasure, F: TrigPoly) -> RotationVector:
     """rho(mu, sgrad F): pairings against every basis form, assembled in H_1.
 
     The basis form [dp_i] (resp. [dq_i]) pairs to the mu-average of the i-th
-    velocity component, so this is one batched field evaluation.
+    velocity component, so this is one batched field evaluation. F must be
+    autonomous.
     """
+    _require_autonomous(F)
     grads = F.grad(mu.lifts)
     velocities = grads @ mu.space.omega.inverse.T
     # pairwise sums: a BLAS product over ~1e6 nodes accumulates rounding of order 1e-11
@@ -232,17 +233,19 @@ def invariance_defect(mu: EmpiricalMeasure, field: VectorFieldSpec, s, H) -> flo
     """|mu(H o phi_s) - mu(H)|: how far mu is from flow invariance.
 
     For mu = mu_{x,T} the telescoping bound 2*s*max|H|/T applies (see
-    ``invariance_defect_bound``). When mu comes from a trajectory sampled at a
-    step dividing s, phi_s is an index shift along the stored orbit and only a
-    short extension past the endpoint is integrated; otherwise every sample is
-    flowed forward by s in one batch.
+    ``invariance_defect_bound``). When mu's samples are the nodes of its
+    source trajectory and that step divides s, phi_s is an index shift along
+    the stored orbit and only a short extension past the endpoint is
+    integrated; otherwise (a time-one measure, say) every sample is flowed
+    forward by s in one batch.
     """
     if s <= 0:
         raise ValueError("shift time must be positive")
     traj = mu.source
     evalH = H.eval if isinstance(H, TrigPoly) else H
     base = float(mu.weights @ np.asarray(evalH(mu.lifts)))
-    if traj is not None and abs(round(s / traj.h) * traj.h - s) < 1e-9:
+    if (traj is not None and len(mu.lifts) == len(traj)
+            and abs(round(s / traj.h) * traj.h - s) < 1e-9):
         m = round(s / traj.h)
         ext = integrate(field, traj.lifts[-1], s, traj.h)
         shifted_lifts = np.concatenate([traj.lifts[m:], ext.lifts[1:]], axis=0)

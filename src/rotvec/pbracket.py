@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import (_nodes, birkhoff_stream, hamiltonian_field, locally_hamiltonian_field,
                        midpoint_step)
-from .errors import InfeasibleFamily, InternalInconsistency
+from .errors import InfeasibleFamily
 from .fields import LP_KEYS
 from .geometry import (ClosedOneForm, CohomologyClass, PhaseSpace, RegionSpec,
                        circular_residual)
@@ -47,7 +47,8 @@ def bracket_poly(F: TrigPoly, alpha: ClosedOneForm, space: PhaseSpace) -> TrigPo
     class term is the derivative of F along Omega^{-T} class, and each partial
     d_i g of the potential multiplies the derivative of F along row i of
     Omega^{-1}. Every product of waves is re-expanded, so the coefficients of
-    the result are exact and usable for certified bounds.
+    the result are exact and usable for certified bounds. Its value at (x, s)
+    is ``bracket_poly(F, alpha, space).eval(x, s)``.
     """
     inv = space.omega.inverse
     out = F.derivative(inv.T @ alpha.cclass.coeffs)
@@ -57,27 +58,6 @@ def bracket_poly(F: TrigPoly, alpha: ClosedOneForm, space: PhaseSpace) -> TrigPo
             if dg_i.n_terms:
                 out = out + dg_i.product(F.derivative(inv[i]))
     return out
-
-
-def bracket(F: TrigPoly, alpha: ClosedOneForm, space: PhaseSpace, x, s=0.0) -> float:
-    """{F, alpha}(x, s), evaluated both ways as a convention check.
-
-    Returns dF(sgrad alpha); raises InternalInconsistency if the second route
-    alpha(sgrad F) disagrees beyond 1e-10 (they are identical in exact
-    arithmetic, so a disagreement means a sign bug, not roundoff).
-    """
-    x = np.asarray(x, dtype=float)
-    dF = F.grad(x, s)
-    a_x = alpha.coefficients(x)
-    v_alpha = -space.omega.inverse @ a_x
-    v_F = space.omega.inverse @ dF
-    first = float(dF @ v_alpha)
-    second = float(a_x @ v_F)
-    if abs(first - second) > 1e-10:
-        raise InternalInconsistency(
-            f"dF(sgrad alpha) = {first} but alpha(sgrad F) = {second}"
-        )
-    return first
 
 
 def sup_norm(F, alpha, space, grid_res=512):

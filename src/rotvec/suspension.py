@@ -84,16 +84,12 @@ class SuspendedHamiltonian:
         Z = np.asarray(z, dtype=float)
         return self.poly.eval(Z) + Z[..., self.base_space.n]
 
-    def grad(self, z):
-        Z = np.asarray(z, dtype=float)
-        return self.poly.grad(Z) + self._e_r
-
 
 def suspended_field(H: SuspendedHamiltonian) -> VectorFieldSpec:
     """The autonomous Hamiltonian field of H on N (sdot = 1, rdot = -dF/ds)."""
     nspace = H.nspace
     vel = H.poly.gradient_map(nspace.omega.inverse, const=nspace.omega.inverse @ H._e_r)
-    return VectorFieldSpec("suspended", nspace, vel, H.eval, source=H)
+    return VectorFieldSpec("suspended", nspace, vel, H.eval)
 
 
 def suspension_flow(H: SuspendedHamiltonian, z0, T, h) -> Trajectory:

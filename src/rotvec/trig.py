@@ -6,8 +6,8 @@ Everything evaluated along orbits in this package is a finite sum
 
 with integer wave vectors ``k_j`` and integer time frequencies ``m_j``. The
 class below keeps the terms in canonical form so that sums and products stay
-in the family (product-to-sum identities) and so that gradients, time
-derivatives, sup-norm coefficient bounds and Lipschitz bounds are all exact.
+in the family (product-to-sum identities) and so that gradients, sup-norm
+coefficient bounds and Lipschitz bounds are all exact.
 
 Every number the package calls certified comes from one rule,
 ``TrigPoly.certified_bounds``: the extremes of f on a uniform grid, widened by
@@ -15,9 +15,9 @@ the exact Lipschitz pad (h/2) * 2 pi sum ||k_j||_1 |c_j| (the error bound of
 interpolating from the nearest grid node). The sharpness slope applies it to
 u', the bracket bound to {F, alpha}, and the suspension's r-bound to F itself.
 
-Values, gradients, time derivatives and field velocities (x -> M grad f + c)
-are all sums g = sum_j sin(theta_j + q_j pi/2) w_j, theta_j = 2 pi (k_j.x + m_j t),
-with quarter turns q_j (cos is sin turned once; d/dx turns once more) and real
+Values, gradients and field velocities (x -> M grad f + c) are all sums
+g = sum_j sin(theta_j + q_j pi/2) w_j, theta_j = 2 pi (k_j.x + m_j t), with
+quarter turns q_j (cos is sin turned once; d/dx turns once more) and real
 weight rows w_j. One evaluator per polynomial, cached on first use, sums them
 with a kernel picked from the spectrum: sparse (one sin per term and point)
 unless some active axis of (x, t) carries |k| >= DENSE_MIN_K; then dense,
@@ -173,13 +173,12 @@ class TrigPoly:
     # -- evaluation ----------------------------------------------------------
 
     def _evaluators(self):
-        """(lattice, value, gradient, d/dt) evaluators, built on first use."""
+        """(lattice, value, gradient) evaluators, built on first use."""
         if self._cache is None:
-            lattice, amps = _Lattice(self.kvecs, self.tfreq), TWO_PI * self.coeffs
-            turns = 1 - self.is_sin
+            lattice, turns = _Lattice(self.kvecs, self.tfreq), 1 - self.is_sin
             self._cache = (lattice, _TrigMap(lattice, self.coeffs, np.ones(self.n_terms), turns),
-                           _TrigMap(lattice, amps, self.kvecs.astype(float), turns + 1),
-                           _TrigMap(lattice, amps, self.tfreq.astype(float), turns + 1))
+                           _TrigMap(lattice, TWO_PI * self.coeffs, self.kvecs.astype(float),
+                                    turns + 1))
         return self._cache
 
     def eval(self, X, t=0.0):
@@ -190,12 +189,8 @@ class TrigPoly:
         """Gradient in x at points X of shape (..., dim); returns (..., dim)."""
         return self._evaluators()[2](X, t)
 
-    def dt(self, X, t=0.0):
-        """Exact d/dt at points X; identically zero unless ``is_time_dependent``."""
-        return self._evaluators()[3](X, t)
-
     def gradient_map(self, matrix, const=None):
-        """(X, t) -> matrix @ grad f(X, t) + const as a callable that negates with ``-``."""
+        """(X, t) -> matrix @ grad f(X, t) + const as a callable."""
         matrix = np.asarray(matrix, dtype=float)
         const = np.zeros(matrix.shape[0]) if const is None else np.asarray(const, dtype=float)
         return _TrigMap(self._evaluators()[0], TWO_PI * self.coeffs,
@@ -316,20 +311,17 @@ class _TrigMap:
     """(X, t) -> sum_j amps_j sin(th_j + turns_j pi/2) weights_j + const, where
     ``weights`` is (terms,) for a scalar map and (terms, rows) for a vector map."""
 
-    __slots__ = ("amps", "const", "_lattice", "_weights", "_turns", "_poff", "_W", "_A")
+    __slots__ = ("amps", "const", "_lattice", "_weights", "_poff", "_W", "_A")
 
     def __init__(self, lattice, amps, weights, turns, const=0.0):
         self.amps, self.const = amps, const
-        self._lattice, self._weights, self._turns = lattice, weights, turns
+        self._lattice, self._weights = lattice, weights
         W = (weights.T * amps).T
         if lattice.rows is None:
             self._poff, self._W = 0.5 * np.pi * turns, W
         else:
             self._A = np.zeros((lattice.n_rows,) + W.shape[1:], dtype=complex)
             np.add.at(self._A, lattice.rows, (W.T * _QUARTER_UNITS[turns]).T)
-
-    def __neg__(self):
-        return _TrigMap(self._lattice, -self.amps, self._weights, self._turns, -self.const)
 
     def __call__(self, X, t=0.0):
         X = np.asarray(X, dtype=float)

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from test_trig import PROPERTY, points, sin_sum, term_scale, trig_polys
 
 import rotvec as rv
+from rotvec import dynamics
 from rotvec.errors import BlowUp, StiffStep
 from rotvec.suspension import SuspendedHamiltonian, suspended_field
 from rotvec.trig import TrigPoly
@@ -11,16 +12,41 @@ from rotvec.trig import TrigPoly
 SIN2 = [(0.5, [0, 0], 0, "cos"), (-0.5, [1, 0], 0, "cos")]
 
 
+def at(field, x, t=0.0):
+    """The field at one point: the batched velocity on a batch of one."""
+    return field.velocity(np.asarray(x, dtype=float)[None], t)[0]
+
+
+def rk4_step(vel, X, t, h, v_node=None):
+    """Classic RK4 step: the cross-check oracle of the midpoint rule."""
+    k1 = vel(X, t) if v_node is None else v_node
+    k2 = vel(X + 0.5 * h * k1, t + 0.5 * h)
+    k3 = vel(X + 0.5 * h * k2, t + 0.5 * h)
+    k4 = vel(X + h * k3, t + h)
+    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+
+
+def integrate_rk4(field, x0, T, h):
+    """``integrate`` with RK4 swapped in for the midpoint step (the node loop and
+    the Trajectory are the integrator's own)."""
+    steppers = dynamics._STEPPERS
+    midpoint, steppers["midpoint"] = steppers["midpoint"], rk4_step
+    try:
+        return rv.integrate(field, x0, T, h)
+    finally:
+        steppers["midpoint"] = midpoint
+
+
 def test_sgrad_form_examples():
     sp = rv.torus(1)
     x = rv.wrap([0.1, 0.2], sp)
-    v = rv.sgrad_form(rv.one_form([0.0, 0.5]), sp, x)
+    v = at(rv.locally_hamiltonian_field(rv.one_form([0.0, 0.5]), sp), x)
     assert np.allclose(v, [0.5, 0.0], atol=1e-14)
-    assert np.allclose(rv.sgrad_form(rv.one_form([0.0, 0.0]), sp, x), 0.0)
+    assert np.allclose(at(rv.locally_hamiltonian_field(rv.one_form([0.0, 0.0]), sp), x), 0.0)
     # twisted form, alpha = dq1 -> d/dp1
     sp4 = rv.torus(2, rv.twisted_structure())
     x4 = rv.wrap([0.1, 0.2, 0.3, 0.4], sp4)
-    v4 = rv.sgrad_form(rv.one_form([0, 0, 1.0, 0]), sp4, x4)
+    v4 = at(rv.locally_hamiltonian_field(rv.one_form([0, 0, 1.0, 0]), sp4), x4)
     assert np.allclose(v4, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -28,48 +54,55 @@ def test_sgrad_examples():
     sp = rv.torus(1)
     # F = p-translation generator: canonical equations qdot = dF/dp
     F = rv.fourier_hamiltonian(2, [(1.0 / (2 * np.pi), [1, 0], 0, "sin")])
-    v = rv.sgrad(F, sp, [0.0, 0.0])
+    v = at(rv.hamiltonian_field(F, sp), [0.0, 0.0])
     assert np.allclose(v, [0.0, 1.0], atol=1e-12)  # cos(0) = 1 on dq1
 
     sp4 = rv.torus(2, rv.twisted_structure())
     F4 = rv.fourier_hamiltonian(4, [(0.5, [0] * 4, 0, "cos"), (-0.5, [1, 0, 0, 0], 0, "cos")])
     p1 = 0.2
-    v4 = rv.sgrad(F4, sp4, [p1, 0.0, 0.0, 0.0])
+    v4 = at(rv.hamiltonian_field(F4, sp4), [p1, 0.0, 0.0, 0.0])
     speed = np.pi * np.sin(2 * np.pi * p1)
     gamma = rv.DEFAULT_GAMMA
     assert np.allclose(v4, [0.0, 0.0, speed, -gamma * speed], atol=1e-12)
 
     const = rv.fourier_hamiltonian(2, [(7.0, [0, 0], 0, "cos")])
-    assert np.allclose(rv.sgrad(const, sp, [0.3, 0.4]), 0.0)
+    assert np.allclose(at(rv.hamiltonian_field(const, sp), [0.3, 0.4]), 0.0)
 
 
 def test_defining_identity_random():
-    # omega(sgrad F, w) + dF(w) = 0
+    # omega(sgrad F, w) + dF(w) = 0, with omega(u, w) = u^T Omega w, and the
+    # batched velocity is Omega^{-1} grad F(x, s) at every time s
     rng = np.random.default_rng(0)
     spaces = [rv.torus(1), rv.torus(2, rv.twisted_structure())]
     for sp in spaces:
         d = sp.dim
-        terms = [(rng.normal(), rng.integers(-2, 3, d).tolist(), 0,
+        terms = [(rng.normal(), rng.integers(-2, 3, d).tolist(), int(rng.integers(-1, 2)),
                   "sin" if rng.random() < 0.5 else "cos") for _ in range(4)]
         F = rv.fourier_hamiltonian(d, terms)
+        field = rv.hamiltonian_field(F, sp)
         for _ in range(50):
-            x = rng.random(d)
-            v = rv.sgrad(F, sp, x)
-            dF = F.grad(x)
+            x, s = rng.random(d), rng.random()
+            v = at(field, x, s)
+            dF = F.grad(x, s)
+            scale = 1 + np.abs(dF).max()
+            assert np.abs(v - sp.omega.inverse @ dF).max() < 1e-12 * scale  # Omega^{-1} grad F
             for _ in range(10):
                 w = rng.normal(size=d)
-                assert abs(sp.omega.pairing(v, w) + dF @ w) < 1e-12 * (1 + np.abs(dF).max())
+                assert abs(v @ sp.omega.matrix @ w + dF @ w) < 1e-12 * scale
 
 
 def test_field_residual():
+    # max |Omega^T v - beta| for i_v omega = beta: beta = -dF, resp. alpha
     sp = rv.torus(1)
+    omega = sp.omega.matrix
     F = rv.fourier_hamiltonian(2, SIN2)
     field = rv.hamiltonian_field(F, sp)
     for x in ([0.2, 0.3], [0.7, 0.9]):
-        assert field.residual(x) < 1e-12
+        assert np.abs(omega.T @ at(field, x) + F.grad(np.array(x))).max() < 1e-12
     alpha = rv.one_form([0.3, 0.5])
     lfield = rv.locally_hamiltonian_field(alpha, sp)
-    assert lfield.residual([0.1, 0.4]) < 1e-12
+    x = np.array([0.1, 0.4])
+    assert np.abs(omega.T @ at(lfield, x) - alpha.coefficients(x)).max() < 1e-12
 
 
 def test_integrate_conserves_momentum_and_advances_position():
@@ -102,7 +135,7 @@ def test_reversibility():
     field = rv.hamiltonian_field(F, sp)
     x0 = np.array([0.21, 0.43])
     fwd = rv.integrate(field, x0, 10.0, 1e-2)
-    back = rv.integrate(rv.reversed_field(field), fwd.lifts[-1], 10.0, 1e-2)
+    back = rv.integrate(rv.hamiltonian_field(-F, sp), fwd.lifts[-1], 10.0, 1e-2)
     assert np.abs(back.lifts[-1] - x0).max() < 1e-8
 
 
@@ -121,11 +154,11 @@ def test_rk4_cross_check():
     sp = rv.torus(1)
     F = rv.fourier_hamiltonian(2, SIN2 + [(0.05, [1, 1], 0, "cos")])
     field = rv.hamiltonian_field(F, sp)
-    a = rv.integrate(field, [0.2, 0.5], 1.0, 1e-3, method="midpoint")
-    b = rv.integrate(field, [0.2, 0.5], 1.0, 1e-3, method="rk4")
+    a = rv.integrate(field, [0.2, 0.5], 1.0, 1e-3)
+    b = integrate_rk4(field, [0.2, 0.5], 1.0, 1e-3)
     # midpoint carries its own O(h^2) global error; RK4 is effectively exact here
     assert np.abs(a.lifts[-1] - b.lifts[-1]).max() < 1e-5
-    finer = rv.integrate(field, [0.2, 0.5], 1.0, 1e-4, method="midpoint")
+    finer = rv.integrate(field, [0.2, 0.5], 1.0, 1e-4)
     assert np.abs(finer.lifts[-1] - b.lifts[-1]).max() < 1e-7
 
 
@@ -178,17 +211,6 @@ def test_stiff_and_blowup():
         rv.integrate(rv.hamiltonian_field(F, sp), [1e308, 1e308], 0.1, 1e-2)
 
 
-def test_trajectory_csv_export(tmp_path):
-    sp = rv.torus(1)
-    F = rv.fourier_hamiltonian(2, SIN2)
-    traj = rv.integrate(rv.hamiltonian_field(F, sp), [0.25, 0.0], 0.1, 1e-2)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path, names=["p1", "q1"])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,p1_lift,q1_lift,p1_wrapped,q1_wrapped,E"
-    assert len(lines) == len(traj) + 1
-
-
 def test_last_partial_step():
     sp = rv.torus(1)
     field = rv.locally_hamiltonian_field(rv.one_form([0.0, 1.0]), sp)
@@ -222,7 +244,7 @@ def test_field_velocities_match_sin_sum(kernel, data):
     field = rv.hamiltonian_field(F, space)
     expected = sin_sum(F, X, t, "grad") @ inv.T
     assert_velocity(field.velocity(X, t), expected, F, inv)
-    assert_velocity(rv.reversed_field(field).velocity(X, t), -expected, F, inv)
+    assert_velocity(rv.hamiltonian_field(-F, space).velocity(X, t), -expected, F, inv)
     if not F.is_time_dependent:
         energy = sin_sum(F, X, 0.0, "eval")
         assert np.abs(field.conserved(X) - energy).max() <= 1e-12 * term_scale(F, "eval")
@@ -244,6 +266,11 @@ def test_field_velocities_match_sin_sum(kernel, data):
     assert_velocity(sfield.velocity(Z), expected, H.poly, ninv)
     energy = sin_sum(H.poly, Z, 0.0, "eval") + Z[..., space.n]
     assert np.abs(sfield.conserved(Z) - energy).max() <= 1e-12 * term_scale(H.poly, "eval")
+    # rdot = -dF/ds: the r-velocity is F's time derivative at the base point and s
+    base, s = np.delete(Z, [space.n, H.dim - 1], axis=-1), Z[..., -1]
+    rdot = sfield.velocity(Z)[..., space.n]
+    assert np.abs(rdot + sin_sum(F, base, s, "dt")).max(initial=0.0) <= (
+        1e-12 * term_scale(F, "dt"))
 
 
 def test_velocity_hooks(monkeypatch):
@@ -259,7 +286,7 @@ def test_velocity_hooks(monkeypatch):
     def public_call(*args, **kwargs):
         raise AssertionError("velocity went through a public TrigPoly method")
 
-    for name in ("eval", "grad", "dt"):
+    for name in ("eval", "grad"):
         monkeypatch.setattr(TrigPoly, name, public_call)
     assert np.array_equal(field.velocity(X, 0.0), expected)
     assert np.array_equal(chord.velocity(X, 0.0), np.tile([0.5, 0.0], (4, 1)))
@@ -283,14 +310,16 @@ BATCH_CASES = [  # (space, waves, momentum-only)
 @pytest.mark.parametrize("method", ["midpoint", "rk4"])
 @pytest.mark.parametrize("space, waves, momentum_only", BATCH_CASES)
 def test_batched_integrate_rows_match_single_runs(space, waves, momentum_only, method):
+    # "rk4" runs the node loop with the test-side RK4 oracle as its stepper
+    run = rv.integrate if method == "midpoint" else integrate_rk4
     F = rv.fourier_hamiltonian(space.dim, waves)
     field = rv.hamiltonian_field(F, space)
     seeds = np.random.default_rng(5).random((5, space.dim))
     T = 3.005  # 300 full steps and a last, shorter one
-    batch = rv.integrate(field, seeds, T, 1e-2, method=method)
+    batch = run(field, seeds, T, 1e-2)
     assert batch.lifts.shape == (len(batch.times), 5, space.dim)
     for b, seed in enumerate(seeds):
-        single = rv.integrate(field, seed, T, 1e-2, method=method)
+        single = run(field, seed, T, 1e-2)
         assert np.array_equal(batch.times, single.times)
         if momentum_only:
             assert np.array_equal(batch.lifts[:, b], single.lifts)

@@ -273,10 +273,14 @@ def test_accepted_configs_run_or_raise_typed_errors(name, data):
     except ConfigError as exc:
         assert exc.path == f"/{path[0]}" or exc.path.startswith(f"/{path[0]}/"), (path, exc)
         return
-    try:
-        rv.run(cfg)
-    except RotvecError:
-        pass
+    # a mutated nonauto config may part the two pairing formulas: the report
+    # records that as formula_agreement failing, so the warning is expected here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureWarning)
+        try:
+            rv.run(cfg)
+        except RotvecError:
+            pass
 
 
 def test_nonauto_range_grid_stays_small(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult, linprog
+from test_trig import dds
 
 import rotvec as rv
 from rotvec import fields
@@ -34,7 +35,7 @@ def test_grad_examples():
 
 def test_dds_examples():
     F = sin2_hamiltonian()
-    assert F.dt([0.3, 0.1], 0.7) == 0.0
+    assert dds(F, [0.3, 0.1], 0.7) == 0.0
     assert not F.is_time_dependent
     eps = 0.2
     Ft = rv.fourier_hamiltonian(2, SIN2 + [(eps / 2, [1, 0], -1, "cos"),
@@ -42,7 +43,7 @@ def test_dds_examples():
     assert Ft.is_time_dependent
     p1, s = 0.13, 0.41
     expected = 2 * np.pi * eps * np.cos(2 * np.pi * s) * np.sin(2 * np.pi * p1)
-    assert Ft.dt([p1, 0.0], s) == pytest.approx(expected, abs=1e-12)
+    assert dds(Ft, [p1, 0.0], s) == pytest.approx(expected, abs=1e-12)
     # 1-periodicity in s
     assert Ft.eval([p1, 0.2], s) == pytest.approx(Ft.eval([p1, 0.2], s + 1.0), abs=1e-12)
 

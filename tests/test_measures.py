@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from test_dynamics import integrate_rk4
 
 import rotvec as rv
-from rotvec.errors import EmptyTrajectory
+from rotvec.errors import DimensionError, EmptyTrajectory
 from rotvec.trig import TrigPoly
 
 SIN2 = [(0.5, [0, 0], 0, "cos"), (-0.5, [1, 0], 0, "cos")]
@@ -54,10 +55,11 @@ def test_point_mass_from_constant_trajectory():
 
 
 def test_average_examples():
+    # the integral of H against mu is the weighted sum mu.weights @ H(mu.lifts)
     mu = rv.empirical_measure(orbit())
-    assert rv.average(mu, lambda X: np.ones(len(X))) == pytest.approx(1.0)
+    assert mu.weights @ np.ones(mu.n_samples) == pytest.approx(1.0)
     F = sin2()
-    assert rv.average(mu, F) == pytest.approx(F.eval([0.25, 0.0]), abs=1e-10)
+    assert mu.weights @ F.eval(mu.lifts) == pytest.approx(F.eval([0.25, 0.0]), abs=1e-10)
 
 
 def test_empty_trajectory_raises():
@@ -65,6 +67,25 @@ def test_empty_trajectory_raises():
     traj = rv.Trajectory(sp, np.zeros(0), np.zeros((0, 2)), 0.1, "hamiltonian")
     with pytest.raises(EmptyTrajectory):
         rv.empirical_measure(traj)
+    # weights over the nodes of a (n_nodes, B, dim) batch would mix its orbits:
+    # these two would read (0, 4.988) together, against 1.847 and pi alone
+    batch = rv.integrate(rv.hamiltonian_field(sin2(), sp), [[0.1, 0.0], [0.25, 0.0]], 1.0, 0.1)
+    with pytest.raises(DimensionError):
+        rv.empirical_measure(batch)
+
+
+def test_flow_pairings_reject_time_dependent_F():
+    # F = cos(2 pi t) sin(2 pi p1): the orbit from (0.1, 0) does not wind
+    # (displacement / T ~ 1e-16), but read at t = 0 the samples give 5.0832
+    sp = rv.torus(1)
+    F = rv.fourier_hamiltonian(2, [(0.5, [1, 0], 1, "sin"), (0.5, [1, 0], -1, "sin")])
+    traj = rv.integrate(rv.hamiltonian_field(F, sp), [0.1, 0.0], 10.0, 0.01)
+    assert np.abs(traj.lifts[-1] - traj.lifts[0]).max() / traj.T < 1e-12
+    mu = rv.empirical_measure(traj)
+    with pytest.raises(ValueError, match="rotation_pairing_time_one"):
+        rv.rotation_vector(mu, F)
+    with pytest.raises(ValueError, match="rotation_pairing_time_one"):
+        rv.rotation_pairing(mu, F, rv.one_form([0.0, 1.0]))
 
 
 def test_rotation_pairing_examples():
@@ -137,7 +158,7 @@ def test_rotation_vector_pairs_with_classes():
     rho = rv.rotation_vector(mu, F)
     a = rv.CohomologyClass([0.4, 1.7])
     direct = rv.rotation_pairing(mu, F, rv.ClosedOneForm(a))
-    assert rv.pair(a, rho) == pytest.approx(direct, abs=1e-12)
+    assert a.coeffs @ rho.coeffs == pytest.approx(direct, abs=1e-12)
 
 
 def test_rotation_vector_rk4_cross_validation():
@@ -149,8 +170,8 @@ def test_rotation_vector_rk4_cross_validation():
     field = rv.hamiltonian_field(F4, sp4)
     speed = np.pi * np.sin(0.4 * np.pi)
     expected = np.array([0.0, 0.0, speed, -gamma * speed])
-    for method in ("midpoint", "rk4"):
-        tr = rv.integrate(field, [0.2, 0.0, 0.0, 0.0], 50.0, 1e-2, method=method)
+    for run in (rv.integrate, integrate_rk4):
+        tr = run(field, [0.2, 0.0, 0.0, 0.0], 50.0, 1e-2)
         rho = rv.rotation_vector(rv.empirical_measure(tr), F4)
         assert np.allclose(rho.coeffs, expected, atol=1e-6)
 
@@ -227,6 +248,20 @@ def test_invariance_defect_telescoping_bound():
     defect = rv.invariance_defect(mu, field, s, H)
     assert defect <= rv.invariance_defect_bound(s, 1.0, T) * 1.5
     assert rv.invariance_defect_bound(1.0, 1.0, 1e4) == pytest.approx(2e-4)
+
+
+def test_invariance_defect_on_a_time_one_measure():
+    # the samples are the unit-time iterates, not the source's nodes, so phi_1
+    # flows them: the defect telescopes to |H(phi^5 x) - H(x)| / 5
+    sp = rv.torus(1)
+    F = rv.fourier_hamiltonian(2, SIN2 + [(0.1, [1, 0], -1, "cos"), (-0.1, [1, 0], 1, "cos"),
+                                          (0.1, [1, 1], 0, "sin")])
+    mu = rv.time_one_orbit(F, sp, [0.2, 0.0], 5, 1e-2)
+    H = rv.fourier_hamiltonian(2, [(1.0, [0, 1], 0, "sin")])
+    defect = rv.invariance_defect(mu, rv.hamiltonian_field(F, sp), 1.0, H)
+    ends = mu.source.lifts[[0, -1]]
+    assert defect == pytest.approx(abs(H.eval(ends[1]) - H.eval(ends[0])) / 5, abs=1e-12)
+    assert defect > 0.1  # non-vacuous
 
 
 def test_invariance_defect_halves_when_T_doubles():

@@ -236,17 +236,6 @@ def test_step7_correspondence_positive_and_negative():
     assert control > 0.1
 
 
-def test_extended_trajectory_csv(tmp_path):
-    H = suspended()
-    z0 = rv.extended_point([0.25, 0.0], 0.0, 0.0, H.nspace)
-    traj = rv.suspension_flow(H, z0, 1.0, 0.1)
-    path = tmp_path / "ext.csv"
-    traj.to_csv(path, names=["p1", "r", "q1", "s"])
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("t,p1_lift,r_lift,q1_lift,s_lift")
-    assert header.endswith(",E")
-
-
 # ---------------------------------------------------------------------------
 # unit arcs against the midpoint loops they replaced; the unit-period guard
 # ---------------------------------------------------------------------------

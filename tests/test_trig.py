@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rotvec.geometry import torus
+from rotvec.suspension import SuspendedHamiltonian, extended_point, suspended_field
 from rotvec.trig import COS, DENSE_MIN_K, MAX_GRID_POINTS, SIN, TWO_PI, TrigPoly, _canonicalize
 
 
@@ -29,13 +31,21 @@ def test_gradient_matches_finite_differences():
         assert np.allclose(g[:, j], fd, atol=1e-7)
 
 
+def dds(F, x, s):
+    """dF/ds at (x, s), read where the package uses it: the suspended field's
+    r-velocity is rdot = -dF/ds."""
+    H = SuspendedHamiltonian(F, torus(F.dim // 2))
+    z = extended_point(x, 0.0, s, H.nspace)
+    return -suspended_field(H).velocity(z[None])[0, F.dim // 2]
+
+
 def test_dt_matches_finite_differences():
     f = TrigPoly.wave(2, 1.3, [1, 0], 2, "sin") + TrigPoly.wave(2, -0.4, [0, 1], 1, "cos")
     x = np.array([[0.2, 0.7]])
     t = 0.11
     h = 1e-6
     fd = (f.eval(x, t + h) - f.eval(x, t - h)) / (2 * h)
-    assert np.allclose(f.dt(x, t), fd, atol=1e-7)
+    assert np.allclose(dds(f, x[0], t), fd, atol=1e-7)
 
 
 def test_partial_is_exact_derivative_poly():
@@ -274,7 +284,7 @@ def test_derivative_is_the_gradient_along_its_direction(data):
 def test_evaluator_matches_sin_sum(kernel, data):
     poly = data.draw(trig_polys(kernel))
     X, t = data.draw(points(poly.dim))
-    for kind in ("eval", "grad", "dt"):
+    for kind in ("eval", "grad"):
         got = getattr(poly, kind)(X, t)
         expected = sin_sum(poly, X, t, kind)
         assert got.shape == expected.shape
@@ -289,7 +299,6 @@ def test_evaluator_zero_and_constant(poly, value):
         X = np.full(shape + (3,), 0.3)
         assert np.array_equal(poly.eval(X, 0.2), np.full(shape, value))
         assert np.array_equal(poly.grad(X, 0.2), np.zeros(shape + (3,)))
-        assert np.array_equal(poly.dt(X, 0.2), np.zeros(shape))
 
 
 def test_evaluator_built_once():
