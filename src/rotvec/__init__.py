@@ -22,16 +22,16 @@ from .dynamics import (Trajectory, VectorFieldSpec, hamiltonian_field, integrate
                        locally_hamiltonian_field)
 from .measures import (ConvergenceReport, EmpiricalMeasure, empirical_measure,
                        exact_boundary_term, extremal_orbit_search, full_seed_grid,
-                       invariance_defect, invariance_defect_bound, momentum_seed_grid,
-                       rotation_pairing, rotation_vector)
+                       invariance_defect, invariance_defect_bound, loop_integral,
+                       momentum_seed_grid, rotation_pairing, rotation_vector)
 from .pbracket import (Chord, PbProblem, PbResult, averaged_bracket, bracket_poly,
                        chord_search, pb_upper_bound, sup_norm)
 from .suspension import (CylinderMeasure, SuspendedHamiltonian,
                          cylinder_measure_from_suspension,
-                         extend_space, extended_point, loop_integral,
-                         map_orbit_search, rotation_pairing_time_one,
-                         shift_equivariance_check, stab, step7_correspondence_check,
-                         suspended_field, suspension_flow, time_one_orbit)
+                         extend_space, extended_point, map_orbit_search,
+                         rotation_pairing_time_one, shift_equivariance_check, stab,
+                         step7_correspondence_check, suspended_field, suspension_flow,
+                         time_one_orbit)
 from .experiments import (Report, builtin_config, list_experiments, run,
                           validate_config)
 

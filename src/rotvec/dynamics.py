@@ -14,8 +14,10 @@ fields of the builtin examples). Lifts are never re-wrapped mid-integration,
 so winding counts are read off from plain coordinate differences.
 
 All stepping is one loop, the node generator ``_nodes``, which steps a (B, dim)
-batch of orbits and yields (t, X, V) at every node: ``integrate`` stores the
-nodes, ``birkhoff_stream`` folds them into averages, the chord search bisects.
+batch of orbits and yields (t, X, dX) at every node, dX the step increment
+that reached it: ``integrate`` stores the nodes, ``birkhoff_stream`` sums the
+increments into the displacements that rotation pairings are read from, the
+chord search bisects.
 """
 
 from __future__ import annotations
@@ -37,17 +39,28 @@ class VectorFieldSpec:
 
     ``kind`` is "hamiltonian" (beta = -dF), "locally-hamiltonian" (beta =
     alpha) or "suspended" (the autonomous Hamiltonian field of F(x, s) + r on
-    the extended space). ``velocity`` is the exact linear image of a
+    the extended space), and ``generator`` the F, alpha or suspended
+    Hamiltonian it was built from. ``velocity`` is the exact linear image of a
     gradient, x -> M grad F(x, t) + c, summed by the TrigPoly evaluator: no
     per-step linear solves, no numerical differentiation. The field at one
     point x is ``velocity(x[None], t)[0]``.
     """
 
-    def __init__(self, kind, space, velocity, conserved=None):
+    def __init__(self, kind, space, velocity, generator, conserved=None):
         self.kind = kind
         self.space = space
         self.velocity = velocity
+        self.generator = generator
         self.conserved = conserved  # scalar logged along orbits
+
+
+def _same_field(a, b):
+    """Whether specs a and b are one field: same kind, generator and space objects.
+
+    An equal generator built anew counts as another field; the shortcuts this
+    guards then take their general route, which costs time, not accuracy.
+    """
+    return a.kind == b.kind and a.generator is b.generator and a.space is b.space
 
 
 def hamiltonian_field(F: TrigPoly, space: PhaseSpace) -> VectorFieldSpec:
@@ -56,7 +69,7 @@ def hamiltonian_field(F: TrigPoly, space: PhaseSpace) -> VectorFieldSpec:
         raise DimensionError(f"F has dim {F.dim}, space has {space.dim}")
     vel = F.gradient_map(space.omega.inverse)
     conserved = None if F.is_time_dependent else F.eval
-    return VectorFieldSpec("hamiltonian", space, vel, conserved)
+    return VectorFieldSpec("hamiltonian", space, vel, F, conserved)
 
 
 def locally_hamiltonian_field(alpha: ClosedOneForm, space: PhaseSpace) -> VectorFieldSpec:
@@ -66,7 +79,7 @@ def locally_hamiltonian_field(alpha: ClosedOneForm, space: PhaseSpace) -> Vector
     potential = TrigPoly.zero(space.dim) if alpha.potential is None else alpha.potential
     vel = potential.gradient_map(-space.omega.inverse,
                                  const=-space.omega.inverse @ alpha.cclass.coeffs)
-    return VectorFieldSpec("locally-hamiltonian", space, vel)
+    return VectorFieldSpec("locally-hamiltonian", space, vel, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +88,13 @@ def locally_hamiltonian_field(alpha: ClosedOneForm, space: PhaseSpace) -> Vector
 
 @dataclass
 class Trajectory:
-    """A discrete orbit with lift tracking and an optional conserved-quantity log."""
+    """A discrete orbit of ``field``, with lift tracking and an optional energy log."""
 
     space: PhaseSpace
     times: np.ndarray
     lifts: np.ndarray  # (n_nodes, dim), or (n_nodes, B, dim) for a batch
     h: float
-    field_kind: str
+    field: VectorFieldSpec
     energies: np.ndarray | None = None
     meta: dict = dc_field(default_factory=dict)
 
@@ -119,8 +132,8 @@ def _trapezoid_weights(T, h):
     return w / T
 
 
-def midpoint_step(vel, X, t, h, v_node=None):
-    """One implicit midpoint step for the batch X; returns (X_next, v_node).
+def midpoint_step(vel, X, t, h):
+    """One implicit midpoint step for the batch X; returns (X + dX, dX), dX = h v(mid).
 
     h is a scalar, or a (B, 1) column giving each row its own step; a column
     is for autonomous fields only, since the midpoint time t + h/2 is then a
@@ -128,16 +141,15 @@ def midpoint_step(vel, X, t, h, v_node=None):
     sweeps (the batch iterates until its slowest row converges); raises
     StiffStep on non-convergence and BlowUp on non-finite states.
     """
-    if v_node is None:
-        v_node = vel(X, t)
     t_mid = t + 0.5 * h
-    Y = X + h * v_node  # Euler predictor
+    Y = X + h * vel(X, t)  # Euler predictor
     for _ in range(FP_MAX_ITER):
-        Y_new = X + h * vel(0.5 * (X + Y), t_mid)
+        dX = h * vel(0.5 * (X + Y), t_mid)
+        Y_new = X + dX
         err = np.max(np.abs(Y_new - Y))
         Y = Y_new
         if err < FP_TOL:
-            return Y, v_node
+            return Y, dX
     if not np.all(np.isfinite(Y)):
         raise BlowUp(f"non-finite state at t = {t + h}")
     raise StiffStep(f"midpoint iteration stalled at t = {t + h} (err = {err:.2e}); reduce h")
@@ -147,27 +159,26 @@ _STEPPERS = {"midpoint": midpoint_step}
 
 
 def _nodes(field, X, T, h):
-    """Step the batch X (B, dim) over [0, T]; yield (t, X, V) at every node.
+    """Step the batch X (B, dim) over [0, T]; yield (t, X, dX) at every node.
 
-    Node k is at k*h, plus a last, shorter step to T if h does not divide T.
-    The node velocity V is the predictor of the step leaving it.
-    Raises BlowUp on a non-finite state (checked every 512 steps and at the end).
+    Node k is at k*h, plus a last, shorter step to T if h does not divide T;
+    dX is the increment of the step that reached it (zero at t = 0), and every
+    yielded array is new. Raises BlowUp on a non-finite state (checked every
+    512 steps and at the end).
     """
     step = _STEPPERS["midpoint"]  # looked up per call: perfbench's tracer re-points it
     vel = field.velocity
     X = np.array(X, dtype=float)
     n_full, remainder = _step_counts(T, h)
+    n_steps = n_full + bool(remainder)
     t = 0.0
-    for k in range(n_full + bool(remainder)):
-        V = vel(X, t)
-        yield t, X, V
-        X, _ = step(vel, X, t, h if k < n_full else remainder, V)
+    yield t, X, np.zeros_like(X)
+    for k in range(n_steps):
+        X, dX = step(vel, X, t, h if k < n_full else remainder)
         t = (k + 1) * h if k < n_full else T
-        if k % 512 == 0 and not np.all(np.isfinite(X)):
+        if (k % 512 == 0 or k == n_steps - 1) and not np.all(np.isfinite(X)):
             raise BlowUp(f"non-finite state at t = {t}")
-    if not np.all(np.isfinite(X)):
-        raise BlowUp(f"non-finite state at t = {t}")
-    yield t, X, vel(X, t)
+        yield t, X, dX
 
 
 def integrate(field: VectorFieldSpec, x0, T, h) -> Trajectory:
@@ -186,7 +197,7 @@ def integrate(field: VectorFieldSpec, x0, T, h) -> Trajectory:
         times[i], lifts[i] = t, X
     lifts = lifts.reshape(times.shape + x0.shape)
     energies = field.conserved(lifts) if field.conserved is not None else None
-    return Trajectory(field.space, times, lifts, h, field.kind, energies)
+    return Trajectory(field.space, times, lifts, h, field, energies)
 
 
 def _steps_per_unit(h):
@@ -198,39 +209,26 @@ def _steps_per_unit(h):
 
 
 # ---------------------------------------------------------------------------
-# streaming Birkhoff accumulation (batched, constant memory)
+# streaming horizon states (batched, constant memory)
 # ---------------------------------------------------------------------------
 
-def birkhoff_stream(field, X0, horizons, h, integrands):
-    """Integrate a batch, yielding trapezoid time-averages at each horizon.
+def birkhoff_stream(field, X0, horizons, h):
+    """Integrate the batch X0 (B, dim) and yield (T, X_T, D) at each horizon.
 
-    Parameters
-    ----------
-    X0 : (B, dim) array of initial lifts.
-    horizons : increasing sequence of times, each an integer multiple of h.
-    integrands : list of callables f(X, V, t) -> (B,) evaluated at nodes,
-        where V is the node velocity (reused from the integrator predictor).
-
-    Yields
-    ------
-    (T, averages, states) per horizon, with averages of shape
-    (n_integrands, B) over [0, T] and states the (B, dim) lifts at T. The
-    orbit continues across horizons, so stopping early wastes nothing.
+    horizons increase, each an integer multiple of h. D is the sum of the step
+    increments over [0, T]: the displacement X_T - X_0 without the rounding of
+    a difference of lifts. No later step changes X_T or D, and the orbit
+    continues across horizons, so stopping early wastes nothing.
     """
     horizons = list(horizons)
     counts = [round(T / h) for T in horizons]
     for T, c in zip(horizons, counts):
         if abs(c * h - T) > 1e-9:
             raise ValueError(f"horizon {T} is not a multiple of h = {h}")
-    sums = np.zeros((len(integrands), len(X0)))
+    D = np.zeros(np.shape(X0))
     pending = 0
-    for k, (t, X, V) in enumerate(_nodes(field, X0, counts[-1] * h, h)):
-        if integrands:
-            f_node = np.array([f(X, V, t) for f in integrands])
-            if k:
-                sums += 0.5 * h * f_prev
-                sums += 0.5 * h * f_node
-            f_prev = f_node
+    for k, (_, X, dX) in enumerate(_nodes(field, X0, counts[-1] * h, h)):
+        D += dX
         while pending < len(counts) and counts[pending] == k:
-            yield horizons[pending], sums / horizons[pending], X
+            yield horizons[pending], X, D.copy()
             pending += 1

@@ -12,7 +12,6 @@ pins, its certified slope bound and the slope LP's solver record.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InfeasiblePins, RotvecError
 from .trig import COS, SIN, TWO_PI, TrigPoly
@@ -152,17 +151,20 @@ def _min_slope_lp(pins, n_modes, grid_res):
     Stall guard: when tau does not rise while rows are still violated, the
     optimal face is not a point and the exchange can wander along it; the
     next round then takes every row, which is the full LP itself. Where the
-    simplex stops on the full LP without an answer (HiGHS status 15 on pins
-    whose optimum sits on the mean-value floor, a large optimal face), the
-    same LP is solved once more by the interior-point method.
+    simplex stops on a round without an answer (HiGHS status 15: on the full
+    LP of pins whose optimum sits on the mean-value floor, a large optimal
+    face, and on some sub-LPs), that round is solved once more by the
+    interior-point method.
 
     Solves are cached on their exact inputs (pin floats, n_modes, grid_res);
-    a hit returns copies and the record of the solve it repeats.
+    a hit returns copies and the record of the solve it repeats. scipy loads
+    on the first solve, not on ``import rotvec``.
     """
     key = (np.asarray(pins, dtype=float).tobytes(), n_modes, grid_res)
     if key in _LP_CACHE:
         theta, solver = _LP_CACHE[key]
         return theta.copy(), dict(solver)
+    from scipy.optimize import linprog
     pts, vals = np.asarray(pins, dtype=float).reshape(-1, 2).T
     n_params = 2 * n_modes + 1
     B = _profile_basis(np.arange(grid_res) / grid_res, n_modes, derivative=True)
@@ -179,7 +181,7 @@ def _min_slope_lp(pins, n_modes, grid_res):
         lp = dict(A_ub=np.block([[rows, -ones], [-rows, -ones]]), b_ub=np.zeros(2 * len(rows)),
                   A_eq=a_eq, b_eq=vals, bounds=bounds)
         res = linprog(cost, **lp, method="highs")
-        if res.status not in (0, 2) and active.all():
+        if res.status not in (0, 2):
             res = linprog(cost, **lp, method="highs-ipm")
         if res.status == 2:
             raise InfeasiblePins(f"slope minimization infeasible: {res.message}")

@@ -5,11 +5,13 @@ The time average of an observable H over an orbit segment,
     (1/T) * integral_0^T H(phi_t x) dt,
 
 is represented by a weighted sample cloud (trapezoid weights over the
-trajectory nodes). Rotation pairings are the averages of alpha(sgrad F); a
-quantity whose finite-horizon maxima over seed grids bound the "largest"
-invariant measures the flow supports. The weak T -> infinity limit itself is
-out of numerical reach: what converges is tracked by a ConvergenceReport over
-doubling horizons.
+trajectory nodes). Rotation pairings are the averages of alpha(sgrad F); over
+an orbit segment that is the path integral (c . (x_T - x_0) + g(x_T) -
+g(x_0)) / T for alpha = c + dg (Schwartzman's asymptotic cycle), which is how
+the one seed search, for flows and time-one maps, reads them. Its maxima over
+seed grids bound the "largest" invariant measures the flow supports. The weak
+T -> infinity limit itself is out of numerical reach: what converges is
+tracked by a ConvergenceReport over doubling horizons.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import (Trajectory, VectorFieldSpec, _trapezoid_weights, birkhoff_stream,
-                       hamiltonian_field, integrate)
+from .dynamics import (Trajectory, VectorFieldSpec, _same_field, _trapezoid_weights,
+                       birkhoff_stream, hamiltonian_field, integrate)
 from .errors import DimensionError, EmptyTrajectory
 from .geometry import ClosedOneForm, PhaseSpace, RotationVector
 from .trig import TrigPoly, lattice_indices
@@ -63,7 +65,7 @@ def empirical_measure(traj: Trajectory) -> EmpiricalMeasure:
     return EmpiricalMeasure(
         traj.space, traj.lifts, w,
         provenance={"x0": traj.lifts[0].tolist(), "T": traj.T, "h": traj.h,
-                    "field": traj.field_kind},
+                    "field": traj.field.kind},
         source=traj,
     )
 
@@ -194,23 +196,31 @@ def doubling_horizons(T0, T_max):
     return horizons
 
 
-def pairing_integrand(alpha):
-    """(X, V, t) -> alpha_X(V) row by row: the Birkhoff integrand of a rotation pairing."""
-    cls, pot = alpha.cclass.coeffs, alpha.potential
-    if pot is None:
-        return lambda X, V, t: V @ cls
-    return lambda X, V, t: np.einsum("ij,ij->i", cls + pot.grad(X), V)
+def loop_integral(alpha: ClosedOneForm, lifts_start, lifts_end, displacement):
+    """Integral of alpha over arcs from lift-tracked endpoints.
+
+    Constant-coefficient parts integrate to class . displacement exactly
+    (winding bookkeeping); the exact part contributes g(end) - g(start). The
+    displacement is the arcs' lift displacement: end - start, or the summed
+    step increments, whose rounding does not grow with the lifts.
+    """
+    out = np.asarray(displacement) @ alpha.cclass.coeffs
+    if alpha.potential is not None:
+        out = out + alpha.potential.eval(lifts_end) - alpha.potential.eval(lifts_start)
+    return out
 
 
 def extremal_orbit_search(F, alpha, space, seeds, T0=100.0, T_max=1e5, h=1e-2,
                           tol=1e-4):
     """Maximize |rotation pairing| over seed orbits with doubling horizons.
 
-    All seeds are integrated together (one batched run; the work done at
-    horizon T is reused at 2T). Stops when the best value moves by at most
-    ``tol`` between doublings, or at T_max with ``converged=False``. Ties in
-    the argmax go to the lowest seed index, so the reduction is deterministic
-    regardless of batching.
+    A seed's pairing at horizon T is its loop integral over the summed step
+    increments, over T. All seeds are integrated together (one batched run;
+    the work done at horizon T is reused at 2T). Stops when the best value
+    moves by at most ``tol`` between doublings, or at T_max with
+    ``converged=False``. Ties in the argmax go to the lowest seed index, so the
+    reduction is deterministic regardless of batching. F may depend on time
+    (``suspension.map_orbit_search``).
 
     Returns (best seed lift, best |pairing|, ConvergenceReport).
     """
@@ -220,8 +230,9 @@ def extremal_orbit_search(F, alpha, space, seeds, T0=100.0, T_max=1e5, h=1e-2,
     field = hamiltonian_field(F, space)
     horizons = doubling_horizons(T0, T_max)
 
-    stream = birkhoff_stream(field, seeds, horizons, h, [pairing_integrand(alpha)])
-    report = ConvergenceReport.from_search(((T, np.abs(avg[0])) for T, avg, _ in stream), tol)
+    stream = birkhoff_stream(field, seeds, horizons, h)
+    report = ConvergenceReport.from_search(
+        ((T, np.abs(loop_integral(alpha, seeds, X, D) / T)) for T, X, D in stream), tol)
     return seeds[report.best_seed_index].copy(), report.best_values[-1], report
 
 
@@ -234,17 +245,17 @@ def invariance_defect(mu: EmpiricalMeasure, field: VectorFieldSpec, s, H) -> flo
 
     For mu = mu_{x,T} the telescoping bound 2*s*max|H|/T applies (see
     ``invariance_defect_bound``). When mu's samples are the nodes of its
-    source trajectory and that step divides s, phi_s is an index shift along
-    the stored orbit and only a short extension past the endpoint is
-    integrated; otherwise (a time-one measure, say) every sample is flowed
-    forward by s in one batch.
+    source trajectory, integrated with this field, and that step divides s,
+    phi_s is an index shift along the stored orbit and only a short extension
+    past the endpoint is integrated; otherwise every sample is flowed forward
+    by s in one batch.
     """
     if s <= 0:
         raise ValueError("shift time must be positive")
     traj = mu.source
     evalH = H.eval if isinstance(H, TrigPoly) else H
     base = float(mu.weights @ np.asarray(evalH(mu.lifts)))
-    if (traj is not None and len(mu.lifts) == len(traj)
+    if (traj is not None and _same_field(traj.field, field) and len(mu.lifts) == len(traj)
             and abs(round(s / traj.h) * traj.h - s) < 1e-9):
         m = round(s / traj.h)
         ext = integrate(field, traj.lifts[-1], s, traj.h)
@@ -252,7 +263,7 @@ def invariance_defect(mu: EmpiricalMeasure, field: VectorFieldSpec, s, H) -> flo
     else:
         h_sub = s / int(np.ceil(s / 1e-2))
         # the end states only: memory stays at one batch, not one per node
-        _, _, shifted_lifts = next(birkhoff_stream(field, mu.lifts, [s], h_sub, []))
+        _, shifted_lifts, _ = next(birkhoff_stream(field, mu.lifts, [s], h_sub))
     shifted = float(mu.weights @ np.asarray(evalH(shifted_lifts)))
     return abs(shifted - base)
 

@@ -33,7 +33,7 @@ from .errors import InfeasibleFamily
 from .fields import LP_KEYS
 from .geometry import (ClosedOneForm, CohomologyClass, PhaseSpace, RegionSpec,
                        circular_residual)
-from .measures import pairing_integrand
+from .measures import loop_integral
 from .trig import MIN_GRID_RES, TrigPoly
 
 CONSTRAINT_TOL = 1e-9  # slack of the admissibility checks F <= 0 on X, F >= 1 on X'
@@ -73,14 +73,13 @@ def averaged_bracket(F, alpha, space, x, T, h) -> float:
     """{F, alpha_T}(x) for the orbit-averaged form alpha_T.
 
     Uses the identity {F, alpha_T}(x) = (1/T) int_0^T alpha(sgrad F)(phi_t x) dt,
-    so no flow Jacobians are integrated: it is the trapezoid Birkhoff average
-    of the bracket along the orbit of x.
+    so no flow Jacobians are integrated. The time integral is the integral of
+    alpha along the orbit segment of x, so it is read off the segment's summed
+    step increments (``measures.loop_integral``), the search's own formula.
     """
-    x = np.asarray(x, dtype=float)
-    field = hamiltonian_field(F, space)
-    for _, avg, _ in birkhoff_stream(field, x[None, :], [T], h, [pairing_integrand(alpha)]):
-        pass
-    return float(avg[0, 0])
+    x = np.asarray(x, dtype=float)[None, :]
+    [(_, X, D)] = birkhoff_stream(hamiltonian_field(F, space), x, [T], h)
+    return float(loop_integral(alpha, x, X, D)[0] / T)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Trajectory, VectorFieldSpec, _steps_per_unit, _trapezoid_weights,
-                       birkhoff_stream, hamiltonian_field, integrate)
+from .dynamics import (Trajectory, VectorFieldSpec, _same_field, _steps_per_unit,
+                       _trapezoid_weights, hamiltonian_field, integrate)
 from .errors import QuadratureWarning
 from .geometry import ClosedOneForm, PhaseSpace, RegionSpec, SymplecticStructure
-from .measures import (ConvergenceReport, EmpiricalMeasure, doubling_horizons,
+from .measures import (EmpiricalMeasure, extremal_orbit_search, loop_integral,
                        measure_from_iterates)
 from .trig import TrigPoly
 
@@ -89,7 +89,7 @@ def suspended_field(H: SuspendedHamiltonian) -> VectorFieldSpec:
     """The autonomous Hamiltonian field of H on N (sdot = 1, rdot = -dF/ds)."""
     nspace = H.nspace
     vel = H.poly.gradient_map(nspace.omega.inverse, const=nspace.omega.inverse @ H._e_r)
-    return VectorFieldSpec("suspended", nspace, vel, H.eval)
+    return VectorFieldSpec("suspended", nspace, vel, H, H.eval)
 
 
 def suspension_flow(H: SuspendedHamiltonian, z0, T, h) -> Trajectory:
@@ -131,7 +131,8 @@ def time_one_orbit(F: TrigPoly, space: PhaseSpace, x0, n_units, h=1e-2) -> Empir
 
     The non-autonomous flow of F is integrated at step h = 1/m and kept as the
     measure's ``source``: it resolves every unit arc gamma_{phi^k x0}, so loop
-    integrals and (x, t) double integrals both come from the same stored data.
+    integrals and (x, t) double integrals both come from the same stored data,
+    and F is ``mu.source.field.generator``.
     """
     m = _steps_per_unit(h)
     traj = integrate(hamiltonian_field(F, space), x0, float(n_units), h)
@@ -141,19 +142,6 @@ def time_one_orbit(F: TrigPoly, space: PhaseSpace, x0, n_units, h=1e-2) -> Empir
                     "kind": "time-one-orbit"},
         source=traj,
     )
-
-
-def loop_integral(alpha: ClosedOneForm, lifts_start, lifts_end):
-    """Integral of alpha over arcs from lift-tracked endpoints.
-
-    Constant-coefficient parts integrate to class . displacement exactly
-    (winding bookkeeping); the exact part contributes g(end) - g(start).
-    """
-    disp = np.asarray(lifts_end) - np.asarray(lifts_start)
-    out = disp @ alpha.cclass.coeffs
-    if alpha.potential is not None:
-        out = out + alpha.potential.eval(lifts_end) - alpha.potential.eval(lifts_start)
-    return out
 
 
 def rotation_pairing_time_one(mu: EmpiricalMeasure, F: TrigPoly,
@@ -167,7 +155,7 @@ def rotation_pairing_time_one(mu: EmpiricalMeasure, F: TrigPoly,
     QuadratureWarning is issued.
     """
     arcs = _unit_arcs(mu, F, h)
-    loop_route = float(mu.weights @ loop_integral(alpha, arcs[0], arcs[-1]))
+    loop_route = float(mu.weights @ loop_integral(alpha, arcs[0], arcs[-1], arcs[-1] - arcs[0]))
     m = arcs.shape[0] - 1
     flat = arcs.reshape(-1, arcs.shape[-1])
     times = np.tile(np.arange(m + 1) * h, (arcs.shape[1], 1)).T.reshape(-1)
@@ -184,18 +172,20 @@ def rotation_pairing_time_one(mu: EmpiricalMeasure, F: TrigPoly,
 def _unit_arcs(mu, F, h):
     """The (m+1, n_samples, dim) unit arcs gamma_x of mu's samples, h = 1/m.
 
-    Read off mu's stored orbit when its samples are that orbit's unit-time
-    iterates; otherwise one unit arc is integrated from every sample, batched.
+    Read off mu's stored orbit when it is an orbit of F's field at step h and
+    its unit-time iterates are mu's samples; otherwise one unit arc is
+    integrated from every sample, batched.
     """
     m = _steps_per_unit(h)
+    field = hamiltonian_field(F, mu.space)
     traj = mu.source
-    if (traj is not None and abs(traj.h * m - 1.0) < 1e-12
+    if (traj is not None and _same_field(traj.field, field) and abs(traj.h * m - 1.0) < 1e-12
             and (len(traj) - 1) % m == 0
             and len(traj.lifts) - 1 >= mu.n_samples * m):
         # arc k spans nodes [k*m, (k+1)*m]
         return np.stack([traj.lifts[k * m:(k + 1) * m + 1] for k in range(mu.n_samples)],
                         axis=1)
-    return integrate(hamiltonian_field(F, mu.space), mu.lifts, 1.0, h).lifts
+    return integrate(field, mu.lifts, 1.0, h).lifts
 
 
 def _simpson_weights(m, h):
@@ -214,21 +204,14 @@ def map_orbit_search(F: TrigPoly, alpha: ClosedOneForm, space: PhaseSpace,
     """Maximize |<[alpha], rho(mu, phi)>| over seed orbits of the time-one map.
 
     The Birkhoff average for maps: mu_N is uniform over {phi^k x}, k < N, and
-    the pairing is the mean loop integral, i.e. a lift displacement per unit
-    plus the telescoped exact part. N doubles from n0 with the same
-    convergence diagnostic as the flow case.
+    its pairing, the mean loop integral over the N unit arcs, is the flow
+    segment's over [0, N] divided by N. So this is the flow search with
+    horizons N = n0, 2 n0, ... (capped at n_max) and a step h = 1/m.
 
     Returns (best seed lift, best value, ConvergenceReport).
     """
-    seeds = np.asarray(seeds, dtype=float).reshape(-1, space.dim)
     _steps_per_unit(h)
-    field = hamiltonian_field(F, space)
-    horizons = doubling_horizons(float(n0), float(n_max))
-
-    stream = birkhoff_stream(field, seeds, horizons, h, [])
-    report = ConvergenceReport.from_search(
-        ((T, np.abs(loop_integral(alpha, seeds, states) / T)) for T, _, states in stream), tol)
-    return seeds[report.best_seed_index].copy(), report.best_values[-1], report
+    return extremal_orbit_search(F, alpha, space, seeds, float(n0), float(n_max), h, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,15 @@ def at(field, x, t=0.0):
     return field.velocity(np.asarray(x, dtype=float)[None], t)[0]
 
 
-def rk4_step(vel, X, t, h, v_node=None):
-    """Classic RK4 step: the cross-check oracle of the midpoint rule."""
-    k1 = vel(X, t) if v_node is None else v_node
+def rk4_step(vel, X, t, h):
+    """Classic RK4 step, returning (X_next, dX) like the midpoint rule it
+    cross-checks."""
+    k1 = vel(X, t)
     k2 = vel(X + 0.5 * h * k1, t + 0.5 * h)
     k3 = vel(X + 0.5 * h * k2, t + 0.5 * h)
     k4 = vel(X + h * k3, t + h)
-    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+    dX = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return X + dX, dX
 
 
 def integrate_rk4(field, x0, T, h):

@@ -377,13 +377,25 @@ def test_exchange_stall_guard_solves_degenerate_pins_by_interior_point():
     assert meta["certified_slope"] >= floor  # max|u'| >= floor by the mean value theorem
 
 
+def test_exchange_solves_a_stalled_sub_lp_by_interior_point():
+    # the simplex stops on round 2 (292 rows) with HiGHS status 15; the
+    # interior-point retry answers, and the exchange ends at the full LP value
+    pins, n_modes = [(0.61328125, 0.0), (0.390625, 0.16143357066911812),
+                     (0.6796875, -0.3333333333333333)], 12
+    meta = rv.make_pinned_profile(pins, n_modes=n_modes).metadata
+    _, tau_full = full_slope_lp(pins, n_modes)
+    assert meta["lp_status"] == 0
+    assert abs(meta["slope_grid_max"] - tau_full) <= 1e-6 * (1.0 + tau_full)
+
+
 def counting_linprog(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return linprog(*args, **kwargs)
-    monkeypatch.setattr(fields, "linprog", counted)
+    # _min_slope_lp imports linprog from scipy.optimize on each solve
+    monkeypatch.setattr("scipy.optimize.linprog", counted)
     return calls
 
 
@@ -438,7 +450,7 @@ def test_solver_failure_is_not_reported_as_infeasible_pins(monkeypatch, status, 
     message = {2: "The problem is infeasible.",
                4: "(HiGHS Status 15: model_status is Unknown; primal_status is Feasible)"}[status]
     monkeypatch.setattr(fields, "_LP_CACHE", {})  # a cached solve would not reach linprog
-    monkeypatch.setattr(fields, "linprog", lambda *a, **k: OptimizeResult(
+    monkeypatch.setattr("scipy.optimize.linprog", lambda *a, **k: OptimizeResult(
         status=status, success=False, message=message, x=None))
     with pytest.raises(error) as info:
         rv.make_pinned_profile([(0.1875, 0.3), (0.4375, 0.9)], n_modes=3)

@@ -5,6 +5,7 @@ import pytest
 from test_dynamics import integrate_rk4
 
 import rotvec as rv
+from rotvec import dynamics
 from rotvec.errors import DimensionError, EmptyTrajectory
 from rotvec.trig import TrigPoly
 
@@ -64,7 +65,8 @@ def test_average_examples():
 
 def test_empty_trajectory_raises():
     sp = rv.torus(1)
-    traj = rv.Trajectory(sp, np.zeros(0), np.zeros((0, 2)), 0.1, "hamiltonian")
+    traj = rv.Trajectory(sp, np.zeros(0), np.zeros((0, 2)), 0.1,
+                         rv.hamiltonian_field(sin2(), sp))
     with pytest.raises(EmptyTrajectory):
         rv.empirical_measure(traj)
     # weights over the nodes of a (n_nodes, B, dim) batch would mix its orbits:
@@ -184,6 +186,10 @@ def test_extremal_orbit_search_example1():
     assert val >= 1.0                   # the guaranteed level for this pair
     assert abs(val - np.pi / 2) < 1e-6  # attained on the p1 = 1/4 circle
     assert best[0] == pytest.approx(0.25)
+    # every seed of the p1 = 1/4 circle ties; the summed increments round alike
+    # whatever q1 is, so the first of them wins (X_T - X_0 would pick q1 = 31/32)
+    assert report.best_seed_index == 256
+    assert best.tolist() == [0.25, 0.0]
     assert report.converged
     assert report.horizons[0] == 100.0
     before = seeds.copy()
@@ -223,6 +229,80 @@ def test_report_json_schema():
         assert key in doc
 
 
+# ---------------------------------------------------------------------------
+# the displacement pairing against the trapezoid fold it replaced
+# ---------------------------------------------------------------------------
+
+def trapezoid_pairings(F, alpha, space, seeds, T, h):
+    """The replaced route, kept as the oracle: the trapezoid average over [0, T]
+    of alpha(sgrad F) at the nodes of every seed's orbit, folded as it ran."""
+    field = rv.hamiltonian_field(F, space)
+    sums, f_prev = np.zeros(len(seeds)), None
+    for t, X, _ in dynamics._nodes(field, seeds, T, h):
+        f = np.einsum("ij,ij->i", alpha.coefficients(X), field.velocity(X, t))
+        if f_prev is not None:
+            sums += 0.5 * h * f_prev
+            sums += 0.5 * h * f
+        f_prev = f
+    return sums / T
+
+
+def search_pairings(F, alpha, space, seeds, T, h):
+    """Per-seed |pairing| of the search at the single horizon T."""
+    _, _, report = rv.extremal_orbit_search(F, alpha, space, seeds, T0=T, T_max=T, h=h)
+    return report.per_seed_values
+
+
+@pytest.mark.parametrize("case", ["example1", "pinned-profile"])
+def test_displacement_pairing_matches_trapezoid_fold_on_momentum_fields(case):
+    # q-free fields: the velocity is constant along each orbit, so both routes
+    # are exact and differ by rounding alone (2.98e-13 and 1.51e-13 measured)
+    sp = rv.torus(1)
+    if case == "example1":
+        F, alpha, seeds, T = sin2(), rv.one_form([0.0, 0.5]), rv.full_seed_grid(sp, 32), 50.0
+    else:
+        F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], n_modes=32)
+        alpha, seeds, T = rv.one_form([0.0, 1.0]), rv.full_seed_grid(sp, 16), 20.0
+    oracle = np.abs(trapezoid_pairings(F, alpha, sp, seeds, T, 1e-2))
+    assert np.abs(search_pairings(F, alpha, sp, seeds, T, 1e-2) - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("potential", [None, [[0.1, [1, 1], 0, "sin"]]])
+def test_displacement_pairing_gap_to_trapezoid_fold_is_second_order(potential):
+    # q-coupled field (perfbench's generic family at eps = 0.2): the trapezoid
+    # rule and the midpoint increments are different O(h^2) quadratures of the
+    # same path integral. At 256 seeds, T = 10 the gap measured 7.0e-4 (1.46e-3
+    # with the potential) at h = 0.01 and four times that at h = 0.02, against
+    # each route's own error of up to 2.0e-3 from h = 1e-3.
+    eps = 0.2
+    F = rv.fourier_hamiltonian(2, SIN2 + [(eps / 2, [0, 1], 0, "cos"),
+                                          (-eps / 4, [2, 1], 0, "cos"),
+                                          (-eps / 4, [2, -1], 0, "cos")])
+    g = None if potential is None else rv.fourier_hamiltonian(2, potential)
+    alpha = rv.one_form([0.3, 1.0], g)
+    sp = rv.torus(1)
+    seeds = rv.full_seed_grid(sp, 16)
+    gaps = [np.abs(search_pairings(F, alpha, sp, seeds, 10.0, h)
+                   - np.abs(trapezoid_pairings(F, alpha, sp, seeds, 10.0, h))).max()
+            for h in (0.02, 0.01)]
+    assert gaps[1] <= 30.0 * 0.01 ** 2  # C h^2 with C = 30
+    assert 3.0 <= gaps[0] / gaps[1] <= 5.0  # halving h quarters the gap
+
+
+def test_map_orbit_search_is_the_loop_integral_over_the_orbit():
+    # the search reads the displacement off the summed increments; on seeds off
+    # q1 = 0 that differs from the lift difference X_T - X_0 by rounding only
+    F = rv.fourier_hamiltonian(2, SIN2 + [(0.1, [1, 0], -1, "cos"), (-0.1, [1, 0], 1, "cos")])
+    alpha = rv.one_form([0.0, 1.0])
+    sp = rv.torus(1)
+    seeds = rv.full_seed_grid(sp, 8)
+    N = 50
+    _, _, report = rv.map_orbit_search(F, alpha, sp, seeds, n0=N, n_max=N, h=1e-2)
+    ends = rv.integrate(rv.hamiltonian_field(F, sp), seeds, float(N), 1e-2).lifts[-1]
+    expected = np.abs(rv.loop_integral(alpha, seeds, ends, ends - seeds) / N)
+    assert np.abs(report.per_seed_values - expected).max() <= 1e-12
+
+
 def test_invariance_defect_trivial_cases():
     sp = rv.torus(1)
     F = sin2()
@@ -244,8 +324,8 @@ def test_invariance_defect_telescoping_bound():
     field = rv.hamiltonian_field(F, sp)
     H = rv.fourier_hamiltonian(2, [(1.0, [0, 1], 0, "sin")])  # max|H| = 1
     T, s = 500.0, 1.0
-    mu = rv.empirical_measure(orbit(p1=0.23, T=T))
-    defect = rv.invariance_defect(mu, field, s, H)
+    tr = rv.integrate(field, [0.23, 0.0], T, 1e-2)
+    defect = rv.invariance_defect(rv.empirical_measure(tr), field, s, H)
     assert defect <= rv.invariance_defect_bound(s, 1.0, T) * 1.5
     assert rv.invariance_defect_bound(1.0, 1.0, 1e4) == pytest.approx(2e-4)
 
@@ -262,6 +342,22 @@ def test_invariance_defect_on_a_time_one_measure():
     ends = mu.source.lifts[[0, -1]]
     assert defect == pytest.approx(abs(H.eval(ends[1]) - H.eval(ends[0])) / 5, abs=1e-12)
     assert defect > 0.1  # non-vacuous
+
+
+def test_invariance_defect_flows_the_samples_of_another_fields_orbit():
+    # mu_F's stored orbit is no orbit of G: the index shift along it would mix
+    # F's orbit with a G extension (7.87e-4); flowing the samples under G gives
+    # G's defect, as for the same samples without a stored orbit
+    sp = rv.torus(1)
+    F = sin2()
+    G = F + rv.fourier_hamiltonian(2, [(0.3, [0, 1], 0, "cos")])
+    field_G = rv.hamiltonian_field(G, sp)
+    H = rv.fourier_hamiltonian(2, [(1.0, [0, 1], 0, "sin")])
+    mu_F = rv.empirical_measure(rv.integrate(rv.hamiltonian_field(F, sp), [0.1, 0.0], 50.0, 1e-2))
+    bare = rv.EmpiricalMeasure(sp, mu_F.lifts, mu_F.weights)
+    defect = rv.invariance_defect(mu_F, field_G, 1.0, H)
+    assert defect == rv.invariance_defect(bare, field_G, 1.0, H)
+    assert defect == pytest.approx(0.219, abs=1e-3)
 
 
 def test_invariance_defect_halves_when_T_doubles():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -127,7 +129,7 @@ def test_loop_integral_windings():
     alpha = rv.one_form([0.0, 1.0])
     start = np.array([[0.2, 0.3]])
     end = np.array([[0.2, 2.8]])  # 2.5 net windings in q1
-    assert rv.loop_integral(alpha, start, end)[0] == pytest.approx(2.5)
+    assert rv.loop_integral(alpha, start, end, end - start)[0] == pytest.approx(2.5)
 
 
 def test_time_one_orbit_is_the_uniform_iterate_measure():
@@ -175,6 +177,39 @@ def test_rotation_pairing_time_one_without_source_orbit():
     v1, _ = rv.rotation_pairing_time_one(mu_with, F, alpha)
     v2, _ = rv.rotation_pairing_time_one(mu_bare, F, alpha)
     assert abs(v1 - v2) < 1e-10
+
+
+def test_rotation_pairing_time_one_on_another_fields_orbit():
+    # mu_F's stored unit arcs are arcs of F's map, not G's: read with G they
+    # mixed the two maps (loop 2.98783 against double 2.98889) and the gap was
+    # blamed on quadrature; now G's arcs are integrated from mu_F's samples,
+    # exactly as for a measure that stores no orbit. At h = 1/400 the two
+    # routes on G's arcs agree to 7.3e-5 (1.2e-3 at h = 1/100: G's own O(h^2)
+    # quadrature gap), and the loop route is within 4e-5 of its h = 1e-3 value
+    from rotvec.measures import measure_from_iterates
+    F = nonauto()
+    G = F + rv.fourier_hamiltonian(2, [(0.2, [1, 1], 0, "cos")])
+    sp = rv.torus(1)
+    alpha = rv.one_form([0.0, 1.0])
+    h = 1 / 400
+    mu_F = rv.time_one_orbit(F, sp, [0.2, 0.0], 20, h)
+    mu_bare = measure_from_iterates(sp, mu_F.lifts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loop, double = rv.rotation_pairing_time_one(mu_F, G, alpha, h)
+    assert (loop, double) == rv.rotation_pairing_time_one(mu_bare, G, alpha, h)
+    assert abs(loop - 2.9712766) < 1e-4
+    sigma = rv.CylinderMeasure(mu_F.lifts, np.zeros(20), mu_F.weights)
+    observables = [lambda X, s: np.cos(2 * np.pi * s) * np.sin(2 * np.pi * X[:, 1])]
+    assert (rv.step7_correspondence_check(sigma, mu_F, G, observables, h)
+            == rv.step7_correspondence_check(sigma, mu_bare, G, observables, h))
+    # F itself is recoverable from the measure, and an equal F built anew
+    # pairs like F: the shortcut and the general route agree
+    assert mu_F.source.field.generator is F
+    loop_F, double_F = rv.rotation_pairing_time_one(mu_F, F, alpha, h)
+    assert abs(loop_F - double_F) < 1e-6
+    loop_eq, _ = rv.rotation_pairing_time_one(mu_F, nonauto(), alpha, h)
+    assert abs(loop_eq - loop_F) < 1e-10
 
 
 def test_map_orbit_search_nonautonomous():

@@ -244,6 +244,9 @@ def trig_polys(draw, kernel, dim=None, time=True):
     if kernel == "dense":  # one term reaching the crossover on a drawn axis
         k = np.zeros(dim, dtype=np.int64)
         k[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([-1, 1])) * kmax
+        # on a wave of its own: a drawn term on +-k could cancel it in canonicalization
+        own = (tfreq != 0) | ~((kvecs == k).all(axis=1) | (kvecs == -k).all(axis=1))
+        coeffs, kvecs, tfreq, is_sin = coeffs[own], kvecs[own], tfreq[own], is_sin[own]
         coeffs = np.append(coeffs, draw(st.floats(0.1, 2.0)))
         kvecs = np.vstack([kvecs, k])
         tfreq, is_sin = np.append(tfreq, 0), np.append(is_sin, draw(st.sampled_from([COS, SIN])))
