@@ -13,6 +13,15 @@ horizons Birkhoff averaging needs (and which is exact for the momentum-only
 fields of the builtin examples). Lifts are never re-wrapped mid-integration,
 so winding counts are read off from plain coordinate differences.
 
+Each step's iteration starts from the previous step's increment (Hairer,
+Lubich and Wanner, Geometric Numerical Integration, VIII.6), the first step
+from the Euler increment. Where the velocity reads only axes that do not move,
+that start is bitwise the fixed point and the first sweep confirms it: one
+velocity call per step. Where one of those axes moves at a constant speed (s
+in a suspension), the start has it right, so the first sweep lands on the
+fixed point and the second confirms it: two calls. Either way the nodes are
+bitwise those of an Euler start, which costs one call more per step.
+
 All stepping is one loop, the node generator ``_nodes``, which steps a (B, dim)
 batch of orbits and yields (t, X, dX) at every node, dX the step increment
 that reached it: ``integrate`` stores the nodes, ``birkhoff_stream`` sums the
@@ -132,17 +141,22 @@ def _trapezoid_weights(T, h):
     return w / T
 
 
-def midpoint_step(vel, X, t, h):
+def midpoint_step(vel, X, t, h, dX0=None):
     """One implicit midpoint step for the batch X; returns (X + dX, dX), dX = h v(mid).
 
     h is a scalar, or a (B, 1) column giving each row its own step; a column
     is for autonomous fields only, since the midpoint time t + h/2 is then a
     column too. Fixed-point iteration to FP_TOL with at most FP_MAX_ITER
-    sweeps (the batch iterates until its slowest row converges); raises
-    StiffStep on non-convergence and BlowUp on non-finite states.
+    sweeps (the batch iterates until its slowest row converges), started from
+    X + dX0, or from the Euler predictor X + h v(X, t) when dX0 is None. With
+    dX0 the previous step's increment, the step takes one velocity call where
+    the velocity reads only axes that stay put (the start is the fixed point),
+    and two where one of them moves at a constant speed; an Euler start takes
+    one call more. Raises StiffStep on non-convergence and BlowUp on non-finite
+    states.
     """
     t_mid = t + 0.5 * h
-    Y = X + h * vel(X, t)  # Euler predictor
+    Y = X + (h * vel(X, t) if dX0 is None else dX0)
     for _ in range(FP_MAX_ITER):
         dX = h * vel(0.5 * (X + Y), t_mid)
         Y_new = X + dX
@@ -163,8 +177,10 @@ def _nodes(field, X, T, h):
 
     Node k is at k*h, plus a last, shorter step to T if h does not divide T;
     dX is the increment of the step that reached it (zero at t = 0), and every
-    yielded array is new. Raises BlowUp on a non-finite state (checked every
-    512 steps and at the end).
+    yielded array is new. Each step after the first starts its iteration from
+    the increment before it (the last, shorter one too, at the cost of one more
+    sweep). Raises BlowUp on a non-finite state (checked every 512 steps and
+    at the end).
     """
     step = _STEPPERS["midpoint"]  # looked up per call: perfbench's tracer re-points it
     vel = field.velocity
@@ -174,7 +190,7 @@ def _nodes(field, X, T, h):
     t = 0.0
     yield t, X, np.zeros_like(X)
     for k in range(n_steps):
-        X, dX = step(vel, X, t, h if k < n_full else remainder)
+        X, dX = step(vel, X, t, h if k < n_full else remainder, dX if k else None)
         t = (k + 1) * h if k < n_full else T
         if (k % 512 == 0 or k == n_steps - 1) and not np.all(np.isfinite(X)):
             raise BlowUp(f"non-finite state at t = {t}")

@@ -126,6 +126,14 @@ def _is_numbers(x, length):
     return isinstance(x, list) and len(x) == length and all(map(_is_number, x))
 
 
+def _require_storable(per_dim, k, path, what):
+    """A grid of per_dim ** k points fits under MAX_GRID_POINTS (the power is
+    only taken where it is small, so a huge per_dim costs nothing)."""
+    points = per_dim ** k if k * math.log2(per_dim) < 64 else math.inf
+    _require(points <= MAX_GRID_POINTS, path,
+             f"{per_dim}**{k} {what} exceed the {MAX_GRID_POINTS} points a run may store")
+
+
 def _check_space(cfg, record):
     space = cfg["space"]
     _require(space.get("kind") in ("torus", "cotangent-of-torus"), "/space/kind",
@@ -210,6 +218,9 @@ def _check_seeds(cfg, record):
     _require(seeds.get("kind") in ("full", "momentum"), "/seeds/kind", "must be full or momentum")
     seeds.setdefault("per_dim", 32)
     _require(_is_int(seeds["per_dim"], 1), "/seeds/per_dim", "must be a positive integer")
+    n = cfg["space"]["n"]
+    _require_storable(seeds["per_dim"], n if seeds["kind"] == "momentum" else 2 * n,
+                      "/seeds/per_dim", "seeds")
 
 
 def _check_integration(cfg, record):
@@ -257,6 +268,8 @@ def _check_regions(cfg, record):
         pinned.append(_pinned(spec))
         spec.setdefault("per_dim", 32)
         _require(_is_int(spec["per_dim"], 1), f"{path}/per_dim", "must be a positive integer")
+        _require_storable(spec["per_dim"], 2 * n - len(pinned[-1]), f"{path}/per_dim",
+                          "region points")
     if not record.disjoint:
         return
     X, Xp = pinned
@@ -293,6 +306,9 @@ def _check_optimizer(cfg, record):
 def _check_orbit(cfg, record):
     _require(_is_number(cfg["orbit"].get("p1")), "/orbit/p1", "must be a number")
     _require(_is_positive(cfg["orbit"].get("T")), "/orbit/T", "must be a positive number")
+    h = cfg["integration"]["h"]  # T / h + 1 nodes are stored
+    _require(cfg["orbit"]["T"] <= (MAX_GRID_POINTS - 1) * h, "/orbit/T",
+             f"T / h + 1 nodes exceed the {MAX_GRID_POINTS} points a run may store")
 
 
 def _check_chord(cfg, record):

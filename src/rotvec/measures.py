@@ -128,6 +128,9 @@ def rotation_vector(mu: EmpiricalMeasure, F: TrigPoly) -> RotationVector:
 # extremal orbit search
 # ---------------------------------------------------------------------------
 
+TIE_TOL = 1e-12  # relative gap under which two seeds' values tie for the best
+
+
 @dataclass
 class ConvergenceReport:
     """Doubling-horizon diagnostic for a Birkhoff-average search.
@@ -147,7 +150,9 @@ class ConvergenceReport:
     @classmethod
     def from_search(cls, values, tol):
         """Consume (T, per-seed values) per doubling horizon until the best value
-        moves by at most ``tol``; the first maximum is the best seed."""
+        moves by at most ``tol``. The best seed is the first whose value is within
+        ``TIE_TOL * max(1, |best|)`` of the best, so that seeds whose values tie up
+        to rounding do not swap places when the last digits move."""
         best_values, diffs, ran = [], [], []
         for T, vals in values:
             ran.append(T)
@@ -156,9 +161,11 @@ class ConvergenceReport:
                 diffs.append(abs(best_values[-1] - best_values[-2]))
                 if diffs[-1] <= tol:
                     break
+        best = best_values[-1]
+        ties = vals >= best - TIE_TOL * max(1.0, abs(best))
         return cls(horizons=ran, best_values=best_values, diffs=diffs,
                    converged=bool(diffs) and diffs[-1] <= tol, tolerance=tol,
-                   best_seed_index=int(np.argmax(vals)), per_seed_values=vals)
+                   best_seed_index=int(np.argmax(ties)), per_seed_values=vals)
 
     def to_json(self):
         return {

@@ -17,9 +17,9 @@ def at(field, x, t=0.0):
     return field.velocity(np.asarray(x, dtype=float)[None], t)[0]
 
 
-def rk4_step(vel, X, t, h):
+def rk4_step(vel, X, t, h, dX0=None):
     """Classic RK4 step, returning (X_next, dX) like the midpoint rule it
-    cross-checks."""
+    cross-checks; the start value ``dX0`` a midpoint step takes is ignored."""
     k1 = vel(X, t)
     k2 = vel(X + 0.5 * h * k1, t + 0.5 * h)
     k3 = vel(X + 0.5 * h * k2, t + 0.5 * h)
@@ -28,15 +28,35 @@ def rk4_step(vel, X, t, h):
     return X + dX, dX
 
 
-def integrate_rk4(field, x0, T, h):
-    """``integrate`` with RK4 swapped in for the midpoint step (the node loop and
-    the Trajectory are the integrator's own)."""
+def euler_start_step(vel, X, t, h, dX0=None):
+    """The midpoint step started from the Euler predictor whatever ``dX0`` is:
+    the warm start's oracle, the loop as it was before every step started from
+    the previous step's increment."""
+    t_mid = t + 0.5 * h
+    Y = X + h * vel(X, t)
+    for _ in range(dynamics.FP_MAX_ITER):
+        dX = h * vel(0.5 * (X + Y), t_mid)
+        Y_new = X + dX
+        err = np.max(np.abs(Y_new - Y))
+        Y = Y_new
+        if err < dynamics.FP_TOL:
+            return Y, dX
+    raise StiffStep(f"midpoint iteration stalled at t = {t + h} (err = {err:.2e})")
+
+
+def integrate_with(step, field, x0, T, h):
+    """``integrate`` with ``step`` swapped in for the midpoint step (the node loop
+    and the Trajectory are the integrator's own)."""
     steppers = dynamics._STEPPERS
-    midpoint, steppers["midpoint"] = steppers["midpoint"], rk4_step
+    midpoint, steppers["midpoint"] = steppers["midpoint"], step
     try:
         return rv.integrate(field, x0, T, h)
     finally:
         steppers["midpoint"] = midpoint
+
+
+def integrate_rk4(field, x0, T, h):
+    return integrate_with(rk4_step, field, x0, T, h)
 
 
 def test_sgrad_form_examples():
@@ -339,3 +359,83 @@ def test_integrate_node_times_are_multiples_of_h():
     traj = rv.integrate(field, [0.0, 0.0], 0.105, 1e-2)
     assert np.array_equal(traj.times[:-1], np.arange(11) * 1e-2)
     assert traj.times[-1] == 0.105
+
+
+# ---------------------------------------------------------------------------
+# the warm start against the Euler-started step
+# ---------------------------------------------------------------------------
+
+def momentum_seeds(n_seeds, dim, n_momenta):
+    seeds = np.zeros((n_seeds, dim))
+    seeds[:, :n_momenta] = np.random.default_rng(3).random((n_seeds, n_momenta))
+    return seeds
+
+
+def assert_same_orbit(field, x0, T, h):
+    warm = rv.integrate(field, x0, T, h)
+    euler = integrate_with(euler_start_step, field, x0, T, h)
+    assert np.array_equal(warm.times, euler.times)
+    assert np.array_equal(warm.lifts, euler.lifts)
+
+
+@pytest.mark.parametrize("T", [10.0, 10.005])  # 10.005: a last, shorter step
+def test_warm_start_is_bitwise_on_momentum_only_batch(T):
+    field = rv.hamiltonian_field(rv.fourier_hamiltonian(2, SIN2), rv.torus(1))
+    assert_same_orbit(field, momentum_seeds(1024, 2, 1), T, 1e-2)
+
+
+def test_warm_start_is_bitwise_on_twisted_orbit():
+    field = rv.hamiltonian_field(rv.fourier_hamiltonian(4, F4), TWISTED)
+    assert_same_orbit(field, [0.2, 0.0, 0.0, 0.0], 20.0, 1e-2)
+
+
+def test_warm_start_is_bitwise_on_pinned_profile_batch():
+    F = rv.make_pinned_profile([(0.0, 0.0), (0.5, 1.0)], n_modes=16)
+    field = rv.hamiltonian_field(F, rv.torus(1))
+    assert_same_orbit(field, momentum_seeds(64, 2, 1), 10.0, 1e-2)
+
+
+def test_warm_start_is_bitwise_on_suspension_batch():
+    # the velocity reads p1 and s, and s moves at the constant speed 1
+    nonauto = SIN2 + [(0.1, [1, 0], -1, "cos"), (-0.1, [1, 0], 1, "cos")]
+    H = SuspendedHamiltonian(rv.fourier_hamiltonian(2, nonauto), rv.torus(1))
+    Z0 = np.array([rv.extended_point([p1, 0.0], 0.0, 0.0, H.nspace) for p1 in (0.1, 0.2, 0.35)])
+    assert_same_orbit(suspended_field(H), Z0, 10.005, 1e-2)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.2, 0.3])
+def test_warm_start_moves_generic_orbits_within_the_fixed_point_tolerance(eps):
+    # perfbench's generic-search field: sin^2(pi p1) + eps sin^2(2 pi p1) cos(2 pi q1)
+    waves = SIN2 + [(eps / 2, [0, 1], 0, "cos"), (-eps / 4, [2, 1], 0, "cos"),
+                    (-eps / 4, [2, -1], 0, "cos")]
+    field = rv.hamiltonian_field(rv.fourier_hamiltonian(2, waves), rv.torus(1))
+    seeds = rv.full_seed_grid(rv.torus(1), 16)
+    warm = rv.integrate(field, seeds, 10.0, 1e-2)
+    euler = integrate_with(euler_start_step, field, seeds, 10.0, 1e-2)
+    assert np.abs(warm.lifts - euler.lifts).max() <= 1e-9
+
+
+def test_warm_start_still_raises_stiff_step():
+    # cos(2 pi p1) + 0.05 cos(2 pi q1) from p1 = 1/4, where the step's
+    # contraction is weakest: the iteration stalls on the fourth step, a warm one
+    steep = rv.fourier_hamiltonian(2, [(1.0, [1, 0], 0, "cos"), (0.05, [0, 1], 0, "cos")])
+    field = rv.hamiltonian_field(steep, rv.torus(1))
+    for step in (dynamics.midpoint_step, euler_start_step):
+        with pytest.raises(StiffStep, match="t = 0.8 "):
+            integrate_with(step, field, [0.25, 0.0], 2.0, 0.2)
+
+
+def test_warm_start_takes_one_velocity_call_per_step():
+    # one Euler predictor on the first step, then one sweep per step; the
+    # Euler-started loop takes two calls on every step
+    field = rv.hamiltonian_field(rv.fourier_hamiltonian(2, SIN2), rv.torus(1))
+    velocity, calls = field.velocity, []
+
+    def counting(X, t=0.0):
+        calls.append(len(X))
+        return velocity(X, t)
+
+    field.velocity = counting
+    n_steps = 1000
+    rv.integrate(field, momentum_seeds(1024, 2, 1), n_steps * 1e-2, 1e-2)
+    assert calls == [1024] * (n_steps + 1)

@@ -12,6 +12,7 @@ from rotvec.cli import main as cli_main
 from rotvec.errors import ConfigError, QuadratureWarning, RotvecError
 from rotvec.fields import LP_KEYS, SLOPE_GRID
 from rotvec.pbracket import CONSTRAINT_TOL, LANDING_TOL
+from rotvec.trig import MAX_GRID_POINTS
 
 
 FAST_BOUND = {
@@ -176,6 +177,30 @@ CONFIG_DECIDES_PROBES = [  # configs that used to validate and then fail or misr
                          ids=[f"{i}{path}" for i, (_, path) in enumerate(CONFIG_DECIDES_PROBES)])
 def test_validate_rejects_what_the_config_decides(config, path):
     assert _config_error_path(config) == path
+
+
+STORAGE_PROBES = [  # configs that used to validate and then fail with a MemoryError at run
+    ({"experiment": "example3-twisted", "orbit": {"T": 1e12}}, "/orbit/T"),
+    ({"experiment": "example1-bound", "seeds": {"per_dim": 10 ** 7}}, "/seeds/per_dim"),
+    ({"experiment": "pb-upper", "regions": {"X": {"per_dim": 10 ** 9}}}, "/regions/X/per_dim"),
+    ({"experiment": "chord", "regions": {"Xp": {"per_dim": 10 ** 400}}}, "/regions/Xp/per_dim"),
+    ({"experiment": "nonauto-suspension", "seeds": {"per_dim": 2 ** 26 + 1}}, "/seeds/per_dim"),
+    ({"experiment": "example1-bound", "seeds": {"per_dim": 2 ** 13 + 1}}, "/seeds/per_dim"),
+]
+
+
+@pytest.mark.parametrize("config, path", STORAGE_PROBES,
+                         ids=[f"{i}{path}" for i, (_, path) in enumerate(STORAGE_PROBES)])
+def test_validate_bounds_the_arrays_a_config_stores(config, path):
+    assert _config_error_path(config) == path  # validated only: running them would not fit
+
+
+def test_arrays_at_the_storage_cap_validate():
+    cap = MAX_GRID_POINTS
+    rv.validate_config({"experiment": "example1-bound", "seeds": {"per_dim": 2 ** 13}})
+    rv.validate_config({"experiment": "nonauto-suspension", "seeds": {"per_dim": cap}})
+    rv.validate_config({"experiment": "pb-upper", "regions": {"Xp": {"per_dim": cap}}})
+    rv.validate_config({"experiment": "example3-twisted", "orbit": {"T": (cap - 1) * 0.01}})
 
 
 def test_pins_at_region_levels_within_the_pin_residual_validate():

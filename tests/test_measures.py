@@ -197,6 +197,13 @@ def test_extremal_orbit_search_example1():
     assert np.array_equal(seeds, before)
 
 
+def test_convergence_report_best_seed_is_the_first_of_a_rounding_tie():
+    report = rv.ConvergenceReport.from_search([(1.0, np.array([3.0, 3.0 + 4e-16]))], 1e-4)
+    assert report.best_seed_index == 0
+    report = rv.ConvergenceReport.from_search([(1.0, np.array([3.0, 3.0 + 1e-9]))], 1e-4)
+    assert report.best_seed_index == 1
+
+
 def test_extremal_orbit_search_constant_F():
     sp = rv.torus(1)
     const = rv.fourier_hamiltonian(2, [(2.0, [0, 0], 0, "cos")])
